@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import SimplicialMesh, unique_edges, validate, _QUALITY_NORM
+from .mesh import (SimplicialMesh, _QUALITY_NORM, _node_flags, unique_edges,
+                   validate)
 from .metric import MetricField, EtaPolicy, edge_lengths, metric_for_field
 
 logger = logging.getLogger(__name__)
@@ -149,20 +150,20 @@ class TwoStepStats:
         return lines
 
 
-def _svol(pts):
-    d = pts.shape[1]
-    if d == 2:
-        return 0.5 * ((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-                      - (pts[1, 1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0]))
-    ax = pts[1, 0] - pts[0, 0]
-    ay = pts[1, 1] - pts[0, 1]
-    az = pts[1, 2] - pts[0, 2]
-    bx = pts[2, 0] - pts[0, 0]
-    by = pts[2, 1] - pts[0, 1]
-    bz = pts[2, 2] - pts[0, 2]
-    cx = pts[3, 0] - pts[0, 0]
-    cy = pts[3, 1] - pts[0, 1]
-    cz = pts[3, 2] - pts[0, 2]
+def _tet_edges(coords, i, j, k, l):
+    """Edge vectors j-i, k-i, l-i as nine Python floats (cheaper to combine
+    than numpy scalars, and rounded identically)."""
+    x0, y0, z0 = coords[i].tolist()
+    x1, y1, z1 = coords[j].tolist()
+    x2, y2, z2 = coords[k].tolist()
+    x3, y3, z3 = coords[l].tolist()
+    return (x1 - x0, y1 - y0, z1 - z0, x2 - x0, y2 - y0, z2 - z0,
+            x3 - x0, y3 - y0, z3 - z0)
+
+
+def _tet_volume(coords, i, j, k, l):
+    """Signed volume of tetrahedron (i, j, k, l); scalar hot path."""
+    ax, ay, az, bx, by, bz, cx, cy, cz = _tet_edges(coords, i, j, k, l)
     return (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
             + az * (bx * cy - by * cx)) / 6.0
 
@@ -200,20 +201,10 @@ def _quality2(coords, tensors, i, j, k, qual_p):
 
 def _quality3(coords, tensors, i, j, k, l, qual_p):
     """Combined quality of tetrahedron (i, j, k, l); scalar hot path."""
-    x0, y0, z0 = coords[i]
-    ax = coords[j, 0] - x0
-    ay = coords[j, 1] - y0
-    az = coords[j, 2] - z0
-    bx = coords[k, 0] - x0
-    by = coords[k, 1] - y0
-    bz = coords[k, 2] - z0
-    cx = coords[l, 0] - x0
-    cy = coords[l, 1] - y0
-    cz = coords[l, 2] - z0
-    vol = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
-           + az * (bx * cy - by * cx)) / 6.0
+    vol = _tet_volume(coords, i, j, k, l)
     if vol <= 0.0:
         return 0.0
+    ax, ay, az, bx, by, bz, cx, cy, cz = _tet_edges(coords, i, j, k, l)
     m00 = (tensors[i, 0, 0] + tensors[j, 0, 0] + tensors[k, 0, 0] + tensors[l, 0, 0]) / 4.0
     m01 = (tensors[i, 0, 1] + tensors[j, 0, 1] + tensors[k, 0, 1] + tensors[l, 0, 1]) / 4.0
     m02 = (tensors[i, 0, 2] + tensors[j, 0, 2] + tensors[k, 0, 2] + tensors[l, 0, 2]) / 4.0
@@ -291,7 +282,6 @@ class _Editor:
         self.u[:n] = u
         self.tensors = np.empty((cap, self.dim, self.dim))
         self.tensors[:n] = psi.tensors
-        self.floor_eps = psi.floor_eps
         self.alive = np.zeros(cap, dtype=bool)
         self.alive[:n] = True
         self.n_nodes = n
@@ -508,13 +498,10 @@ class _Editor:
         facets = np.array([sorted(remap[list(k)]) for k in fkeys],
                           dtype=np.int64).reshape(len(fkeys), self.dim)
         segs = np.array([self.facets[k] for k in fkeys], dtype=np.int64)
-        flags = [set() for _ in range(len(keep))]
-        for row, seg in zip(facets, segs):
-            for v in row:
-                flags[v].add(int(seg))
-        mesh = SimplicialMesh(self.dim, nodes, elements, facets, segs,
-                              [frozenset(f) for f in flags], self.box.copy())
-        return mesh, u, MetricField(tensors, self.floor_eps)
+        flags, _, _ = _node_flags(len(keep), facets, segs)
+        mesh = SimplicialMesh(self.dim, nodes, elements, facets, segs, flags,
+                              self.box.copy())
+        return mesh, u, MetricField(tensors)
 
 
 def coarsen_pass(mesh, u, psi, opts):
@@ -580,6 +567,12 @@ def refine_pass(mesh, u, psi, opts):
     return new_mesh, new_u, new_psi, n_split
 
 
+def _group_by_node(owner, value, n):
+    """Per node id in range(n), the values whose owner it is, in input order."""
+    order = np.argsort(owner, kind="stable")
+    return np.split(value[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
+
+
 def move_pass(mesh, u, psi, opts):
     """One smoothing sweep: propose each node at the metric-weighted average
     of its neighbors (weights 1/L^2), damped by 0.5; reject moves that invert
@@ -593,25 +586,23 @@ def move_pass(mesh, u, psi, opts):
     tensors = psi.tensors
     flags = mesh.boundary_node_flags
     smap = mesh.segment_map
-    edges = unique_edges(mesh.elements)
-    nbrs = [[] for _ in range(mesh.num_nodes)]
-    for a, b in edges:
-        nbrs[a].append(int(b))
-        nbrs[b].append(int(a))
-    n2e = [[] for _ in range(mesh.num_nodes)]
-    for e, elem in enumerate(mesh.elements):
-        for v in elem:
-            n2e[v].append(e)
+    n = mesh.num_nodes
+    a, b = unique_edges(mesh.elements).T
+    nbrs = _group_by_node(np.concatenate([b, a]), np.concatenate([a, b]), n)
+    n2e = _group_by_node(mesh.elements.ravel(),
+                         np.arange(mesh.elements.size) // (d + 1), n)
     scale = mesh.diameter()
     frozen = mesh.nodes                       # proposals from sweep-start positions
     elem_q = np.full(mesh.num_elements, np.nan)
     moved = []
-    for i in range(mesh.num_nodes):
+    for i in range(n):
         f = flags[i]
         if len(f) >= 2:
             continue
-        cand = [j for j in nbrs[i] if f <= flags[j]] if f else nbrs[i]
-        if not cand:
+        cand = nbrs[i]
+        if f:
+            cand = cand[np.array([f <= flags[j] for j in cand], dtype=bool)]
+        if len(cand) == 0:
             continue
         pts = frozen[cand]
         vecs = pts - frozen[i]
@@ -664,7 +655,7 @@ def move_pass(mesh, u, psi, opts):
                               mesh.boundary_facets.copy(),
                               mesh.facet_segments.copy(),
                               list(mesh.boundary_node_flags), mesh.box.copy())
-    return new_mesh, u_new, MetricField(tensors_new, psi.floor_eps), len(moved)
+    return new_mesh, u_new, MetricField(tensors_new), len(moved)
 
 
 def swap_pass(mesh, u, psi, opts):
@@ -771,12 +762,8 @@ def _swap_3d(mesh, u, psi, opts):
     alive = [True] * len(elems)
     face2el = {}
     edge2el = {}
-    bfaces = {tuple(sorted(int(v) for v in f)) for f in mesh.boundary_facets}
-    bedges = set()
-    for fkey in bfaces:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                bedges.add(tuple(sorted((fkey[i], fkey[j]))))
+    bfaces = set(map(tuple, np.sort(mesh.boundary_facets, axis=1).tolist()))
+    bedges = set(map(tuple, unique_edges(mesh.boundary_facets).tolist()))
 
     def register(e):
         nodes = elems[e]
@@ -800,22 +787,6 @@ def _swap_3d(mesh, u, psi, opts):
     for e in range(len(elems)):
         register(e)
 
-    def svol4(i, j, k, l):
-        x0 = coords[i, 0]
-        y0 = coords[i, 1]
-        z0 = coords[i, 2]
-        ax = coords[j, 0] - x0
-        ay = coords[j, 1] - y0
-        az = coords[j, 2] - z0
-        bx = coords[k, 0] - x0
-        by = coords[k, 1] - y0
-        bz = coords[k, 2] - z0
-        cx = coords[l, 0] - x0
-        cy = coords[l, 1] - y0
-        cz = coords[l, 2] - z0
-        return (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
-                + az * (bx * cy - by * cx)) / 6.0
-
     def quality(nodes):
         return _quality_ids(coords, tensors, nodes, opts.qual_p)
 
@@ -829,7 +800,9 @@ def _swap_3d(mesh, u, psi, opts):
         return q
 
     def orient(nodes):
-        return nodes if svol4(*nodes) > 0 else (nodes[0], nodes[2], nodes[1], nodes[3])
+        if _tet_volume(coords, *nodes) > 0:
+            return nodes
+        return (nodes[0], nodes[2], nodes[1], nodes[3])
 
     def add_tet(nodes):
         elems.append(nodes)
@@ -854,7 +827,8 @@ def _swap_3d(mesh, u, psi, opts):
             if p == q or edge2el.get(tuple(sorted((p, q)))):
                 continue
             f0, f1, f2 = fkey
-            vols = [svol4(p, f0, f1, q), svol4(p, f1, f2, q), svol4(p, f2, f0, q)]
+            vols = [_tet_volume(coords, p, f0, f1, q), _tet_volume(coords, p, f1, f2, q),
+                    _tet_volume(coords, p, f2, f0, q)]
             if not (all(v > 0 for v in vols) or all(v < 0 for v in vols)):
                 continue                     # p-q does not pierce the face
             new_tets = [orient((p, f0, f1, q)), orient((p, f1, f2, q)),
@@ -884,8 +858,8 @@ def _swap_3d(mesh, u, psi, opts):
             fnew = (a, b, c)
             if face2el.get(fnew):
                 continue
-            v0 = svol4(a, b, c, e0)
-            v1 = svol4(a, b, c, e1n)
+            v0 = _tet_volume(coords, a, b, c, e0)
+            v1 = _tet_volume(coords, a, b, c, e1n)
             if v0 * v1 >= 0.0:
                 continue
             t1 = orient((a, b, c, e0))

@@ -21,15 +21,6 @@ from .plotting import plot_branch
 logger = logging.getLogger(__name__)
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("ANISOCONT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def cmd_run(args):
     try:
         cfg = load_config(args.config)
@@ -215,7 +206,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     return args.func(args)

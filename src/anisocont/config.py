@@ -1,13 +1,15 @@
 """Declarative run configuration: sectioned key=value files.
 
-Numeric values may use simple expressions of pi and sqrt, e.g. `lx = 2*pi`
-or `l_low = 1/sqrt(2)`.
+Numeric values may be expressions of numbers, + - * /, parentheses, pi, e
+and sqrt, e.g. `lx = 2*pi` or `l_low = 1/sqrt(2)`.
 """
 from __future__ import annotations
 
+import ast
 import configparser
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .adapt import AdaptOptions, CoarsenOptions
 from .continuation import ContinuationSettings
@@ -21,21 +23,41 @@ class ConfigError(ValueError):
     pass
 
 
-_EVAL_NAMES = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt}
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_FUNCTIONS = {"sqrt": math.sqrt}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _PROFILES = (PROFILE_ZERO, PROFILE_COS_HALF, PROFILE_GAUSS_SPOT)
 
 
+def _evaluate(node):
+    """Value of an expression tree built from numbers, + - * /, unary signs,
+    parentheses, pi, e and sqrt(x); anything else raises ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _CONSTANTS[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0]))
+    raise ValueError(f"unsupported expression '{ast.unparse(node)}'")
+
+
 def parse_number(text):
-    """Parse a float, allowing pi/sqrt expressions like `3*pi/2`."""
+    """Parse a float, allowing expressions like `3*pi/2` or `1/sqrt(2)`."""
     try:
         return float(text)
     except ValueError:
         pass
-    if not set(text) <= set("0123456789.+-*/() pietsqr"):
-        raise ConfigError(f"cannot parse number '{text}'")
     try:
-        return float(eval(text, {"__builtins__": {}}, _EVAL_NAMES))
-    except Exception as exc:
+        return float(_evaluate(ast.parse(text.strip(), mode="eval").body))
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ConfigError(f"cannot parse number '{text}': {exc}") from None
 
 
@@ -53,8 +75,6 @@ class RunConfig:
     initial_adapt: bool = False
     output_dir: str = "out"
     snapshot_stride: int = 0
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def build_mesh(self):
         if self.dim == 2:

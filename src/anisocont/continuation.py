@@ -537,9 +537,15 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
         state = new_state
         n_neg = stability_index(state.mesh, state.u, state.prob, work) \
             if settings.bif_detection else None
-        flag = ""
+        # a fold turns the parameter component of the tangent around; the one
+        # eigenvalue passing zero there changes n_neg by exactly 1, which is
+        # the fold itself, not a branch point
+        tp_prev, tp_new = float(prev_state.tangent[-1]), float(state.tangent[-1])
+        fold = tp_prev * tp_new < 0 and max(abs(tp_prev), abs(tp_new)) > 1e-12
+        flag = "FP" if fold else ""
         if (settings.bif_detection and prev_n_neg is not None
-                and n_neg is not None and n_neg != prev_n_neg):
+                and n_neg is not None and n_neg != prev_n_neg
+                and not (fold and abs(n_neg - prev_n_neg) == 1)):
             bp = detect_bifurcation(prev_state, prev_n_neg, state, n_neg,
                                     info["ds_used"], settings, work)
             events.append(bp)
@@ -551,14 +557,11 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
                                          state.step_index, state.ds)
             emit(make_record(bp_state, work, n_neg=prev_n_neg, flag="BP"),
                  bp_state)
-        tp_prev = float(prev_state.tangent[-1])
-        tp_new = float(state.tangent[-1])
-        if tp_prev * tp_new < 0 and max(abs(tp_prev), abs(tp_new)) > 1e-12:
-            flag = "FP"
-            fold = FoldEvent(state.step_index, float(state.prob.get_param()))
-            events.append(fold)
+        if fold:
+            fp = FoldEvent(state.step_index, float(state.prob.get_param()))
+            events.append(fp)
             if on_event:
-                on_event(fold, state)
+                on_event(fp, state)
         adapt_due = (settings.amod > 0 and trop is not None
                      and state.step_index % settings.amod == 0)
         if adapt_due:

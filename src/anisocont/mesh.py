@@ -50,6 +50,11 @@ class SegmentMap:
         axis, side = segment_table(self.dim)[seg]
         return axis, self.box[axis, 0 if side < 0 else 1]
 
+    def planes(self):
+        """Segment ids, ascending, with the axis and coordinate of each face."""
+        axes, values = zip(*(self.plane(seg) for seg in self.ids()))
+        return np.array(self.ids()), np.array(axes), np.array(values)
+
     def on_segment(self, point, seg, tol):
         axis, value = self.plane(seg)
         return abs(point[axis] - value) <= tol
@@ -132,41 +137,66 @@ def _sym_linspace(extent, n):
     return np.concatenate([-half[::-1], half])
 
 
-def _facet_counts(dim, elements):
-    count = {}
-    for elem in elements:
-        verts = tuple(int(v) for v in elem)
-        for i in range(dim + 1):
-            key = tuple(sorted(verts[:i] + verts[i + 1:]))
-            count[key] = count.get(key, 0) + 1
-    return count
+def _facet_keys(rows, n_nodes):
+    """One int64 key per row of sorted node ids: its base-`n_nodes` digits,
+    so the key order is the lexicographic order of the rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if int(n_nodes) ** rows.shape[1] >= 2 ** 63:
+        raise ValueError(f"{n_nodes} nodes overflow the int64 facet keys")
+    key = rows[:, 0].copy()
+    for k in range(1, rows.shape[1]):
+        key *= n_nodes
+        key += rows[:, k]
+    return key
+
+
+def facet_topology(elements, n_nodes):
+    """Facets of a simplicial element array, from one integer-keyed `np.unique`.
+
+    Returns `(facets, elem_facets, counts)`: the unique facets as sorted
+    node-id rows in lexicographic order, shape (nf, d); the id of the facet
+    opposite local vertex i of element e in `elem_facets[e, i]`, shape
+    (ne, d+1); and the number of elements sharing each facet (1 on the
+    boundary, 2 inside a conforming mesh).
+    """
+    elements = np.asarray(elements, dtype=np.int64)
+    ne, nv = elements.shape
+    opposite = [[j for j in range(nv) if j != i] for i in range(nv)]
+    raw = np.sort(elements[:, opposite].reshape(ne * nv, nv - 1), axis=1)
+    _, first, inverse, counts = np.unique(_facet_keys(raw, n_nodes),
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return raw[first], inverse.reshape(ne, nv), counts
+
+
+def _node_flags(n_nodes, facets, segs):
+    """Per node, the frozenset of segment ids of the facets containing it;
+    also the ascending segment ids and the (n_nodes, n_ids) membership matrix."""
+    seg_ids, col = np.unique(segs, return_inverse=True)
+    member = np.zeros((n_nodes, len(seg_ids)), dtype=bool)
+    for j in range(facets.shape[1]):
+        member[facets[:, j], col] = True
+    patterns, which = np.unique(member, axis=0, return_inverse=True)
+    sets = [frozenset(seg_ids[row].tolist()) for row in patterns]
+    return [sets[k] for k in which.ravel()], seg_ids, member
 
 
 def _derive_boundary(dim, nodes, elements, box):
     """Topological boundary facets, their segment ids, and per-node flag sets."""
-    count = _facet_counts(dim, elements)
-    bkeys = sorted(k for k, c in count.items() if c == 1)
-    table = segment_table(dim)
+    facets, _, counts = facet_topology(elements, len(nodes))
+    facets = facets[counts == 1]
+    ids, axes, values = SegmentMap(dim, box).planes()
     tol = 1e-12 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    facets = np.array(bkeys, dtype=np.int64).reshape(len(bkeys), dim)
-    segs = np.zeros(len(bkeys), dtype=np.int64)
-    for n, key in enumerate(bkeys):
-        candidates = None
-        for node in key:
-            mine = {
-                seg
-                for seg, (axis, side) in table.items()
-                if abs(nodes[node, axis] - box[axis, 0 if side < 0 else 1]) <= tol
-            }
-            candidates = mine if candidates is None else candidates & mine
-        if not candidates or len(candidates) > 1:
-            raise ValueError(f"boundary facet {key} not on a unique box face: {candidates}")
-        segs[n] = candidates.pop()
-    flags = [set() for _ in range(len(nodes))]
-    for key, seg in zip(bkeys, segs):
-        for node in key:
-            flags[node].add(int(seg))
-    return facets, segs, [frozenset(f) for f in flags]
+    on_face = np.abs(nodes[:, axes] - values) <= tol        # (n_nodes, n_segs)
+    candidates = np.logical_and.reduce(on_face[facets], axis=1)
+    bad = np.nonzero(candidates.sum(axis=1) != 1)[0]
+    if bad.size:
+        n = bad[0]
+        key = tuple(int(v) for v in facets[n])
+        found = {int(s) for s in ids[candidates[n]]}
+        raise ValueError(f"boundary facet {key} not on a unique box face: {found}")
+    segs = ids[candidates.argmax(axis=1)]
+    return facets, segs, _node_flags(len(nodes), facets, segs)[0]
 
 
 def build_rect_mesh(lx, ly, nx, ny):
@@ -285,39 +315,32 @@ def validate(mesh, boundary_tol=1e-9):
     mutates the mesh; defects are reported as counts, not raised.
     """
     rep = ValidationReport()
-    dim = mesh.dim
     vols = mesh.element_volumes()
     rep.inverted_elements = int(np.sum(vols <= 0))
 
-    count = _facet_counts(dim, mesh.elements)
-    rep.nonconforming_facets += sum(1 for c in count.values() if c > 2)
-    topo_boundary = {k for k, c in count.items() if c == 1}
-    stored = {tuple(sorted(f)) for f in mesh.boundary_facets}
-    rep.nonconforming_facets += len(topo_boundary ^ stored)
+    facets, _, counts = facet_topology(mesh.elements, mesh.num_nodes)
+    rep.nonconforming_facets += int(np.sum(counts > 2))
+    topo_boundary = _facet_keys(facets[counts == 1], mesh.num_nodes)
+    stored = _facet_keys(np.sort(mesh.boundary_facets, axis=1), mesh.num_nodes)
+    rep.nonconforming_facets += len(np.setxor1d(topo_boundary, stored))
 
     used = np.zeros(mesh.num_nodes, dtype=bool)
     used[mesh.elements.ravel()] = True
     rep.orphan_nodes = int(np.sum(~used))
 
-    smap = mesh.segment_map
-    valid_ids = set(smap.ids())
-    tol = boundary_tol * mesh.diameter()
-    for seg in mesh.facet_segments:
-        if int(seg) not in valid_ids:
-            rep.boundary_defects += 1
-    derived = [set() for _ in range(mesh.num_nodes)]
-    for facet, seg in zip(mesh.boundary_facets, mesh.facet_segments):
-        for node in facet:
-            derived[node].add(int(seg))
-    for i in range(mesh.num_nodes):
-        flags = mesh.boundary_node_flags[i]
-        if set(flags) != derived[i]:
-            rep.boundary_defects += 1
-            continue
-        for seg in flags:
-            if seg in valid_ids and not smap.on_segment(mesh.nodes[i], seg, tol):
-                rep.boundary_defects += 1
-                break
+    ids, axes, values = mesh.segment_map.planes()
+    segs = mesh.facet_segments
+    rep.boundary_defects += int(np.sum(~np.isin(segs, ids)))
+    # a node's flags must be the segments of its stored facets, and the node
+    # must lie on the face of each valid one; each node counts once
+    derived, seg_ids, member = _node_flags(mesh.num_nodes, mesh.boundary_facets, segs)
+    mismatch = np.fromiter((f != g for f, g in zip(mesh.boundary_node_flags, derived)),
+                           dtype=bool, count=mesh.num_nodes)
+    valid = np.isin(seg_ids, ids)
+    k = np.searchsorted(ids, seg_ids[valid])
+    on_face = np.abs(mesh.nodes[:, axes[k]] - values[k]) <= boundary_tol * mesh.diameter()
+    rep.boundary_defects += int(np.sum(mismatch | np.any(member[:, valid] & ~on_face,
+                                                         axis=1)))
     return rep
 
 
@@ -353,21 +376,6 @@ def element_quality_euclidean(mesh, elem):
     return simplex_quality(mesh.nodes[ids])
 
 
-def element_qualities(nodes, elements):
-    """Vectorized Euclidean qualities of all elements."""
-    d = nodes.shape[1]
-    vols = signed_volumes(nodes, elements)
-    ssq = np.zeros(len(elements))
-    nv = d + 1
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            diff = nodes[elements[:, i]] - nodes[elements[:, j]]
-            ssq += np.einsum("ij,ij->i", diff, diff)
-    q = _QUALITY_NORM[d] * vols / ssq ** (d / 2.0)
-    q[vols <= 0.0] = 0.0
-    return q
-
-
 class _Locator:
     """Point location by element walking with KD-tree seeding."""
 
@@ -380,18 +388,17 @@ class _Locator:
         self.Tinv = np.linalg.inv(np.transpose(T, (0, 2, 1)))  # maps (x - p0) -> lam[1:]
         self.p0 = p0
         self.tree = cKDTree(nodes[elements].mean(axis=1))
-        facet2elems = {}
-        for e, elem in enumerate(elements):
-            verts = tuple(int(v) for v in elem)
-            for i in range(d + 1):
-                key = tuple(sorted(verts[:i] + verts[i + 1:]))
-                facet2elems.setdefault(key, []).append((e, i))
-        self.neighbors = -np.ones((len(elements), d + 1), dtype=np.int64)
-        for members in facet2elems.values():
-            if len(members) == 2:
-                (e1, i1), (e2, i2) = members
-                self.neighbors[e1, i1] = e2
-                self.neighbors[e2, i2] = e1
+        # neighbors[e, i]: the element across the facet opposite vertex i, or
+        # -1 unless exactly two elements share that facet
+        _, elem_facets, counts = facet_topology(elements, len(nodes))
+        slots = np.argsort(elem_facets.ravel(), kind="stable")
+        start = np.cumsum(counts) - counts
+        pair = start[counts == 2]
+        s1, s2 = slots[pair], slots[pair + 1]
+        neighbors = -np.ones(elem_facets.size, dtype=np.int64)
+        neighbors[s1] = s2 // (d + 1)
+        neighbors[s2] = s1 // (d + 1)
+        self.neighbors = neighbors.reshape(elem_facets.shape)
         # barycentric tolerance equivalent to 1e-9 * diameter in distance,
         # per element through its minimum height
         vols = np.abs(signed_volumes(nodes, elements))

@@ -22,14 +22,10 @@ class MetricField:
     """One symmetric positive definite d x d matrix per node."""
 
     tensors: np.ndarray   # (n_nodes, d, d)
-    floor_eps: float = 0.0
 
     @property
     def dim(self):
         return self.tensors.shape[-1]
-
-    def restrict(self, keep):
-        return MetricField(self.tensors[keep], self.floor_eps)
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def compute_metric(hessians, eta, ppar, dim=None, h_max=None):
         scaled = np.maximum(scaled, 1.0 / h_max ** 2)
     tensors = np.einsum("nij,nj,nkj->nik", Q, scaled, Q)
     tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
-    return MetricField(tensors, floor_eps=floor)
+    return MetricField(tensors)
 
 
 def edge_length_metric(mesh, psi, edge):

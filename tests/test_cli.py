@@ -1,4 +1,7 @@
+import configparser
+import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +60,39 @@ class TestParseNumber:
     def test_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_number("__import__('os')")
+
+    @pytest.mark.parametrize("text", ["2**10", "9**9**9**9", "pi.real", "True",
+                                      "abs(-1)", "sqrt(2, 3)", "1 if 1 else 2",
+                                      "[1][0]", "1j", "1/0", "sqrt(-1)", ""])
+    def test_rejects_everything_but_the_grammar(self, text):
+        start = time.monotonic()
+        with pytest.raises(ConfigError):
+            parse_number(text)
+        assert time.monotonic() - start < 0.1
+
+    def test_grammar(self):
+        assert parse_number("-(1 + 2) * 3 / +4") == -(1 + 2) * 3 / 4
+        assert parse_number("e") == np.e
+        assert parse_number("sqrt(2*pi)") == np.sqrt(2 * np.pi)
+
+    @pytest.mark.parametrize("name", ["ac2d_cos.cfg", "ac2d_wspot.cfg",
+                                      "ac3d_wspot.cfg"])
+    def test_bundled_values_unchanged(self, name):
+        # every numeric value of a bundled config parses to what Python's own
+        # evaluation of the expression gives
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read(os.path.join(CONFIG_DIR, name))
+        names = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt}
+        checked = 0
+        for section in parser.sections():
+            for key, text in parser[section].items():
+                try:
+                    want = float(eval(text, {"__builtins__": {}}, names))
+                except Exception:
+                    continue                        # not a number
+                assert parse_number(text) == want, (section, key, text)
+                checked += 1
+        assert checked >= 10
 
 
 class TestLoadConfig:

@@ -234,6 +234,26 @@ class TestFold:
         assert folds
         assert any(r.flag == "FP" for r in result.records)
 
+    def test_fold_is_not_a_branch_point(self):
+        # with detection on, the eigenvalue that passes zero at the fold
+        # changes n_neg by one in the fold's step; no branch point is
+        # reported there
+        m = cos_mesh(25, 13)
+        settings = ct.ContinuationSettings(ds0=0.03, ds_max=0.08, nsteps=30,
+                                           ds_min=1e-10, bif_detection=True)
+        prob_bp = cos_problem(d=0.0, lam=0.32)
+        _, phi = ct.critical_eigenpair(m, np.zeros(m.num_nodes), prob_bp)
+        switch_state = ct.ContinuationState(
+            m, np.zeros(m.num_nodes), prob_bp, ds=0.03)
+        new = ct.branch_switch(switch_state, phi, settings)
+        result = ct.run_continuation(new, settings)
+        fold_steps = {e.step for e in result.events if isinstance(e, ct.FoldEvent)}
+        bp_steps = {e.step for e in result.events if isinstance(e, ct.BPEvent)}
+        assert fold_steps
+        assert not fold_steps & bp_steps
+        fp_rows = [r for r in result.records if r.flag == "FP"]
+        assert fp_rows and all(r.n_neg is not None for r in fp_rows)
+
 
 class TestAdaptInCont:
     def test_amod_zero_never_adapts(self):

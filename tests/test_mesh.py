@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisocont as ac
-from anisocont.mesh import signed_volumes, simplex_quality, unique_edges
+from anisocont.mesh import (_derive_boundary, _Locator, facet_topology,
+                            segment_table, signed_volumes, simplex_quality,
+                            unique_edges)
 
 
 class TestRectMesh:
@@ -203,3 +205,184 @@ def test_unique_edges_counts():
     # 9 nodes, 8 triangles: 12 grid edges + 4 diagonals
     assert len(edges) == 16
     assert np.all(edges[:, 0] < edges[:, 1])
+
+
+# Dict-built facet maps: the reference the vectorized facet kernel is
+# checked against.
+
+def _oracle_facet_counts(dim, elements):
+    count = {}
+    for elem in elements:
+        verts = tuple(int(v) for v in elem)
+        for i in range(dim + 1):
+            key = tuple(sorted(verts[:i] + verts[i + 1:]))
+            count[key] = count.get(key, 0) + 1
+    return count
+
+
+def _oracle_boundary(dim, nodes, elements, box):
+    count = _oracle_facet_counts(dim, elements)
+    bkeys = sorted(k for k, c in count.items() if c == 1)
+    table = segment_table(dim)
+    tol = 1e-12 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    segs = []
+    for key in bkeys:
+        candidates = None
+        for node in key:
+            mine = {seg for seg, (axis, side) in table.items()
+                    if abs(nodes[node, axis] - box[axis, 0 if side < 0 else 1]) <= tol}
+            candidates = mine if candidates is None else candidates & mine
+        assert len(candidates) == 1
+        segs.append(candidates.pop())
+    flags = [set() for _ in range(len(nodes))]
+    for key, seg in zip(bkeys, segs):
+        for node in key:
+            flags[node].add(seg)
+    facets = np.array(bkeys, dtype=np.int64).reshape(len(bkeys), dim)
+    return facets, np.array(segs, dtype=np.int64), [frozenset(f) for f in flags]
+
+
+def _oracle_neighbors(dim, elements):
+    facet2elems = {}
+    for e, elem in enumerate(elements):
+        verts = tuple(int(v) for v in elem)
+        for i in range(dim + 1):
+            key = tuple(sorted(verts[:i] + verts[i + 1:]))
+            facet2elems.setdefault(key, []).append((e, i))
+    neighbors = -np.ones((len(elements), dim + 1), dtype=np.int64)
+    for members in facet2elems.values():
+        if len(members) == 2:
+            (e1, i1), (e2, i2) = members
+            neighbors[e1, i1] = e2
+            neighbors[e2, i2] = e1
+    return neighbors
+
+
+def _oracle_validate(mesh, boundary_tol=1e-9):
+    rep = ac.ValidationReport()
+    rep.inverted_elements = int(np.sum(mesh.element_volumes() <= 0))
+    count = _oracle_facet_counts(mesh.dim, mesh.elements)
+    rep.nonconforming_facets += sum(1 for c in count.values() if c > 2)
+    topo_boundary = {k for k, c in count.items() if c == 1}
+    stored = {tuple(sorted(int(v) for v in f)) for f in mesh.boundary_facets}
+    rep.nonconforming_facets += len(topo_boundary ^ stored)
+    used = np.zeros(mesh.num_nodes, dtype=bool)
+    used[mesh.elements.ravel()] = True
+    rep.orphan_nodes = int(np.sum(~used))
+    smap = mesh.segment_map
+    valid_ids = set(smap.ids())
+    tol = boundary_tol * mesh.diameter()
+    rep.boundary_defects += sum(1 for s in mesh.facet_segments if int(s) not in valid_ids)
+    derived = [set() for _ in range(mesh.num_nodes)]
+    for facet, seg in zip(mesh.boundary_facets, mesh.facet_segments):
+        for node in facet:
+            derived[node].add(int(seg))
+    for i in range(mesh.num_nodes):
+        flags = mesh.boundary_node_flags[i]
+        if set(flags) != derived[i]:
+            rep.boundary_defects += 1
+            continue
+        if any(seg in valid_ids and not smap.on_segment(mesh.nodes[i], seg, tol)
+               for seg in flags):
+            rep.boundary_defects += 1
+    return rep
+
+
+def _adapted_mesh():
+    m = ac.build_rect_mesh(2, 2, 15, 15)
+    u = np.tanh(5 * (m.nodes[:, 0] - 0.5))
+    m2, _, _ = ac.tradapt(m, u, ac.AdaptOptions.for_dim(2))
+    return m2
+
+
+def _duplicated_element_mesh():
+    m = ac.build_rect_mesh(1, 1, 5, 5)
+    elements = np.vstack([m.elements, m.elements[7:8]])
+    return ac.SimplicialMesh(2, m.nodes, elements, m.boundary_facets,
+                             m.facet_segments, m.boundary_node_flags, m.box)
+
+
+KERNEL_MESHES = {
+    "rect": lambda: ac.build_rect_mesh(2 * np.pi, np.pi, 17, 9),
+    "box": lambda: ac.build_box_mesh(1.0, 1.5, 1.0, 4, 5, 4),
+    "adapted": _adapted_mesh,
+    "duplicated": _duplicated_element_mesh,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(KERNEL_MESHES))
+def kernel_mesh(request):
+    return KERNEL_MESHES[request.param]()
+
+
+class TestFacetTopology:
+    def test_facets_and_counts_match_dict(self, kernel_mesh):
+        m = kernel_mesh
+        facets, _, counts = facet_topology(m.elements, m.num_nodes)
+        oracle = _oracle_facet_counts(m.dim, m.elements)
+        assert [tuple(f) for f in facets.tolist()] == sorted(oracle)
+        assert counts.tolist() == [oracle[k] for k in sorted(oracle)]
+
+    def test_element_facets_are_opposite_faces(self, kernel_mesh):
+        m = kernel_mesh
+        facets, elem_facets, _ = facet_topology(m.elements, m.num_nodes)
+        assert elem_facets.shape == m.elements.shape
+        for e, elem in enumerate(m.elements.tolist()):
+            for i in range(m.dim + 1):
+                assert facets[elem_facets[e, i]].tolist() == \
+                    sorted(elem[:i] + elem[i + 1:])
+
+    def test_duplicated_element_shares_its_facets(self):
+        m = _duplicated_element_mesh()
+        _, elem_facets, counts = facet_topology(m.elements, m.num_nodes)
+        assert np.array_equal(elem_facets[-1], elem_facets[7])
+        assert set(counts[elem_facets[7]].tolist()) <= {2, 3}
+        assert np.sum(counts > 2) > 0
+
+    def test_derive_boundary_matches_dict(self, kernel_mesh):
+        m = kernel_mesh
+        facets, segs, flags = _derive_boundary(m.dim, m.nodes, m.elements, m.box)
+        o_facets, o_segs, o_flags = _oracle_boundary(m.dim, m.nodes, m.elements,
+                                                     m.box)
+        assert facets.dtype == o_facets.dtype and segs.dtype == o_segs.dtype
+        assert np.array_equal(facets, o_facets)
+        assert np.array_equal(segs, o_segs)
+        assert flags == o_flags
+        assert all(type(s) is int for f in flags for s in f)
+
+    def test_locator_neighbors_match_dict(self, kernel_mesh):
+        m = kernel_mesh
+        assert np.array_equal(_Locator(m).neighbors,
+                              _oracle_neighbors(m.dim, m.elements))
+
+    def test_validate_matches_dict(self, kernel_mesh):
+        assert ac.validate(kernel_mesh) == _oracle_validate(kernel_mesh)
+
+    @pytest.mark.parametrize("defect", ["moved", "bad_segment", "flags",
+                                        "missing_facet", "extra_facet"])
+    def test_validate_defects_match_dict(self, defect):
+        m = ac.build_rect_mesh(1, 1, 5, 5)
+        nodes, facets = m.nodes.copy(), m.boundary_facets.copy()
+        segs, flags = m.facet_segments.copy(), list(m.boundary_node_flags)
+        if defect == "moved":
+            nodes[2, 1] += 0.1                  # bottom node off its face
+        elif defect == "bad_segment":
+            segs[3] = 9
+        elif defect == "flags":
+            flags[12] = frozenset({2})          # interior node claims a face
+        elif defect == "missing_facet":
+            facets, segs = facets[1:], segs[1:]
+        else:
+            facets = np.vstack([facets, [[6, 7]]])
+            segs = np.append(segs, 1)
+        bad = ac.SimplicialMesh(2, nodes, m.elements, facets, segs, flags, m.box)
+        rep = ac.validate(bad)
+        assert not rep.ok
+        assert rep == _oracle_validate(bad)
+
+    def test_facet_off_the_box_faces_raises(self):
+        m = ac.build_rect_mesh(1, 1, 3, 3)
+        nodes = m.nodes.copy()
+        nodes[1, 1] += 0.25         # bottom edge midpoint leaves the bottom face
+        with pytest.raises(ValueError, match="not on a unique box face"):
+            _derive_boundary(2, nodes, m.elements, m.box)
