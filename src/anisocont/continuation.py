@@ -17,13 +17,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .adapt import two_step_adapt
+from .adapt import AdaptationError, two_step_adapt
 from .mesh import interpolate
 
 logger = logging.getLogger(__name__)
 
 XI_WEIGHT = 0.5
 DENSE_EIG_LIMIT = 3000
+BACKWARD_TOL = 1e-12          # accepted normwise backward error of a bordered solve
+NUDGE = 1e-10                 # last-resort diagonal shift of a singular tangent system
 
 
 class ContinuationError(RuntimeError):
@@ -117,7 +119,7 @@ class FemWorkspace:
         self.mesh = mesh
         self.K1 = fem.assemble_stiffness(mesh, 1.0)
         self.M = fem.assemble_mass(mesh)
-        self.dir_idx, self.dir_profiles = fem.dirichlet_info(mesh, prob)
+        self.dir_idx, self.dir_groups = fem.dirichlet_info(mesh, prob)
         self.domain_vol = float(np.prod(mesh.box[:, 1] - mesh.box[:, 0]))
         self.free = np.ones(mesh.num_nodes, dtype=bool)
         self.free[self.dir_idx] = False
@@ -130,21 +132,32 @@ class FemWorkspace:
 
     def residual(self, u, prob):
         return fem.residual(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
-                            dir_idx=self.dir_idx, dir_profiles=self.dir_profiles)
+                            dir_idx=self.dir_idx, dir_groups=self.dir_groups)
 
     def jacobian(self, u, prob):
         return fem.jacobian(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
                             dir_idx=self.dir_idx)
 
     def dresidual_dparam(self, u, prob):
-        p = prob.get_param()
-        h = 1e-7 * (1.0 + abs(p))
-        pr = prob.copy()
-        pr.set_param(p + h)
-        g_plus = self.residual(u, pr)
-        pr.set_param(p - h)
-        g_minus = self.residual(u, pr)
-        return (g_plus - g_minus) / (2.0 * h)
+        """Exact derivative of `residual` in the active parameter. Only the
+        boundary profiles read `aux` parameters, so those act on the
+        Dirichlet rows alone (-dg/dp), and lambda, gamma and c on the others."""
+        name = prob.active_param
+        if name == "lambda":
+            Gp = -(self.M @ u)
+        elif name == "gamma":
+            Gp = self.M @ u ** 5
+        elif name == "c":
+            Gp = self.K1 @ u
+        else:
+            Gp = np.zeros(len(u))
+        Gp[self.dir_idx] = -fem.dirichlet_dparam(self.mesh, prob, self.dir_idx,
+                                                 self.dir_groups, name)
+        return Gp
+
+    def border(self, tu, tp):
+        """The arclength row (r, c) with r.du + c*dp = inner(du, dp, tu, tp)."""
+        return (XI_WEIGHT / self.domain_vol) * (self.M @ tu), (1.0 - XI_WEIGHT) * tp
 
     def inner(self, du1, dp1, du2, dp2):
         uu = float(du1 @ (self.M @ du2)) / self.domain_vol
@@ -152,6 +165,88 @@ class FemWorkspace:
 
     def norm(self, du, dp):
         return math.sqrt(max(self.inner(du, dp, du, dp), 0.0))
+
+
+def factorize(A):
+    """Sparse LU for repeated solves: minimum-degree ordering of A' + A with
+    symmetric-mode threshold pivoting (README, "Linear solves")."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
+class BorderedSolver:
+    """One LU of J shared by plain solves and solves with the arclength
+    border.
+
+    `solve_bordered(g, r, c, f, h)` solves [[J, g], [r', c]] [x; y] = [f; h]
+    by block elimination with J's factors: v = J^-1 g and w = J^-1 f (two
+    back-solves), y = (h - r.w) / (c - r.v), x = w - y v. Near a singular J
+    this loses accuracy, so its normwise backward error is checked: one step
+    of iterative refinement comes first, then one LU of the full bordered
+    matrix, and with `nudge` that matrix plus 1e-10 I as the last resort.
+    `refinements` and `fallbacks` count the refinement steps and full LUs.
+    """
+
+    def __init__(self, J):
+        self.J = sp.csc_matrix(J)
+        self.refinements = self.fallbacks = 0
+        try:
+            self.lu, self.error = factorize(self.J), None
+        except RuntimeError as exc:          # SuperLU: exactly singular
+            self.lu, self.error = None, exc
+
+    def solve(self, f):
+        if self.lu is None:
+            raise RuntimeError(f"cannot solve with a singular matrix: {self.error}")
+        return self.lu.solve(np.asarray(f, dtype=float))
+
+    def solve_bordered(self, g, r, c, f, h, nudge=False):
+        """Returns (x, y); raises RuntimeError when every fallback fails."""
+        if self.lu is not None:
+            vw = self.lu.solve(np.column_stack([g, f]))
+            v = vw[:, 0]
+            s = c - float(r @ v)
+            if s != 0.0 and np.isfinite(s):
+                a_norm = max(spla.norm(self.J, np.inf) + np.max(np.abs(g)),
+                             np.sum(np.abs(r)) + abs(c))
+                b_norm = max(np.max(np.abs(f)), abs(h))
+                x, y = _eliminate(v, s, vw[:, 1], r, h)
+                for refine in (True, False):
+                    rx = f - (self.J @ x + g * y)
+                    ry = h - (float(r @ x) + c * y)
+                    err = max(np.max(np.abs(rx)), abs(ry))
+                    if not np.isfinite(err):
+                        break
+                    if err <= BACKWARD_TOL * (a_norm * max(np.max(np.abs(x)), abs(y))
+                                              + b_norm):
+                        return x, y
+                    if refine:
+                        self.refinements += 1
+                        dx, dy = _eliminate(v, s, self.lu.solve(rx), r, ry)
+                        x, y = x + dx, y + dy
+        return self._solve_full(g, r, c, f, h, nudge)
+
+    def _solve_full(self, g, r, c, f, h, nudge):
+        n = len(f)
+        A = sp.bmat([[self.J, sp.csc_matrix(np.asarray(g, dtype=float)[:, None])],
+                     [sp.csr_matrix(np.asarray(r, dtype=float)[None, :]),
+                      sp.csr_matrix([[c]])]],
+                    format="csc")
+        rhs = np.append(f, h)
+        self.fallbacks += 1
+        for shift in (0.0, NUDGE) if nudge else (0.0,):
+            try:
+                z = factorize(A + shift * sp.eye(n + 1, format="csc")).solve(rhs)
+            except RuntimeError:
+                continue
+            if np.all(np.isfinite(z)):
+                return z[:n], float(z[n])
+        raise RuntimeError("bordered system is singular")
+
+
+def _eliminate(v, s, w, r, h):
+    y = (h - float(r @ w)) / s
+    return w - y * v, y
 
 
 def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
@@ -171,7 +266,7 @@ def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
             break
         J = work.jacobian(u, prob)
         try:
-            du = spla.spsolve(J.tocsc(), -G)
+            du = BorderedSolver(J).solve(-G)
         except Exception as exc:
             logger.warning("Newton linear solve failed: %s", exc)
             return NewtonResult(u, k, res_norm, False)
@@ -186,28 +281,17 @@ def compute_tangent(work, u, prob, prev_tangent):
     """Unit branch tangent from the bordered system, oriented along the
     previous tangent."""
     n = len(u)
-    J = work.jacobian(u, prob)
-    Gp = work.dresidual_dparam(u, prob)
     tu_prev, tp_prev = prev_tangent[:n], float(prev_tangent[n])
-    row_u = XI_WEIGHT * (work.M @ tu_prev) / work.domain_vol
-    row_p = (1.0 - XI_WEIGHT) * tp_prev
-    A = sp.bmat([[J, Gp[:, None]],
-                 [sp.csr_matrix(row_u[None, :]), sp.csr_matrix([[row_p]])]]).tocsc()
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    t = None
-    for attempt in range(2):
-        try:
-            t = spla.spsolve(A, rhs)
-        except Exception:
-            t = None
-        if t is not None and np.all(np.isfinite(t)):
-            break
-        # singular bordered matrix (e.g. exactly at a branch point): nudge
-        A = (A + sp.eye(n + 1, format="csc") * 1e-10).tocsc()
-        t = None
-    if t is None:
-        raise ContinuationError("tangent solve failed (singular bordered system)")
+    row_u, row_p = work.border(tu_prev, tp_prev)
+    solver = BorderedSolver(work.jacobian(u, prob))
+    try:
+        # exactly at a branch point the bordered matrix is singular: nudge
+        x, y = solver.solve_bordered(work.dresidual_dparam(u, prob), row_u,
+                                     row_p, np.zeros(n), 1.0, nudge=True)
+    except RuntimeError as exc:
+        raise ContinuationError("tangent solve failed (singular bordered "
+                                "system)") from exc
+    t = np.append(x, y)
     nrm = work.norm(t[:n], t[n])
     if nrm <= 0 or not np.isfinite(nrm):
         raise ContinuationError("tangent has zero norm")
@@ -221,8 +305,7 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol, max_i
     """Newton on the extended system {G = 0, <t, x - base> = ds}."""
     n = len(u_pred)
     tu, tp = tangent[:n], float(tangent[n])
-    row_u = XI_WEIGHT * (work.M @ tu) / work.domain_vol
-    row_p = (1.0 - XI_WEIGHT) * tp
+    row_u, row_p = work.border(tu, tp)
     u = np.array(u_pred, dtype=float, copy=True)
     p = float(p_pred)
     pr = prob.copy()
@@ -235,19 +318,16 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol, max_i
             return u, p, k, True
         if k == max_it:
             break
-        J = work.jacobian(u, pr)
-        Gp = work.dresidual_dparam(u, pr)
-        A = sp.bmat([[J, Gp[:, None]],
-                     [sp.csr_matrix(row_u[None, :]), sp.csr_matrix([[row_p]])]]).tocsc()
-        rhs = -np.concatenate([G, [r2]])
+        solver = BorderedSolver(work.jacobian(u, pr))
         try:
-            delta = spla.spsolve(A, rhs)
+            du, dp = solver.solve_bordered(work.dresidual_dparam(u, pr), row_u,
+                                           row_p, -G, -r2)
         except Exception:
             return u, p, k, False
-        if not np.all(np.isfinite(delta)):
+        if not (np.all(np.isfinite(du)) and np.isfinite(dp)):
             return u, p, k, False
-        u += delta[:n]
-        p += float(delta[n])
+        u += du
+        p += dp
         iters = k + 1
     return u, p, iters, False
 
@@ -292,11 +372,18 @@ def _reduced_pencil(work, u, prob):
     return A.tocsc(), B.tocsc()
 
 
+def _shift_invert(A):
+    """A^-1 as an operator for shift-invert Lanczos at sigma = 0, factored
+    once with `factorize` and reused by every eigsh call on the pencil."""
+    lu = factorize(A)
+    return spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+
+
 def stability_index(mesh, u, prob, work=None):
     """Count of negative eigenvalues of the Dirichlet-reduced pencil (J, M).
 
     Dense generalized solve below 3000 unknowns, shift-invert Lanczos around
-    zero above. Returns None when the eigensolver fails.
+    zero above. Returns None when the factorization or the eigensolver fails.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
@@ -312,6 +399,11 @@ def stability_index(mesh, u, prob, work=None):
             logger.warning("dense eigenvalue solve failed: %s", exc)
             return None
         return int(np.sum(w < -tol * max(1.0, float(np.max(np.abs(w))))))
+    try:
+        OPinv = _shift_invert(A)
+    except RuntimeError as exc:
+        logger.warning("factorizing the reduced pencil failed: %s", exc)
+        return None
     k = 16
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
@@ -319,7 +411,7 @@ def stability_index(mesh, u, prob, work=None):
         k = min(k, n - 2)
         try:
             w = spla.eigsh(A, k=k, M=B, sigma=0.0, which="LM", v0=v0,
-                           return_eigenvectors=False)
+                           OPinv=OPinv, return_eigenvectors=False)
         except Exception as exc:
             logger.warning("shift-invert eigenvalue solve failed: %s", exc)
             return None
@@ -336,20 +428,24 @@ def stability_index(mesh, u, prob, work=None):
 
 def critical_eigenpair(mesh, u, prob, work=None):
     """Eigenpair of the reduced pencil closest to zero; eigenvector embedded
-    with zeros at Dirichlet nodes."""
+    with zeros at Dirichlet nodes. Raises ContinuationError when the
+    eigensolve fails."""
     if work is None:
         work = FemWorkspace(mesh, prob)
     A, B = _reduced_pencil(work, u, prob)
     n = A.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        w, V = scipy.linalg.eigh(A.toarray(), B.toarray())
-        j = int(np.argmin(np.abs(w)))
-        val, vec = float(w[j]), V[:, j]
-    else:
-        rng = np.random.default_rng(0)
-        w, V = spla.eigsh(A, k=1, M=B, sigma=0.0, which="LM",
-                          v0=rng.standard_normal(n))
-        val, vec = float(w[0]), V[:, 0]
+    try:
+        if n <= DENSE_EIG_LIMIT:
+            w, V = scipy.linalg.eigh(A.toarray(), B.toarray())
+            j = int(np.argmin(np.abs(w)))
+            val, vec = float(w[j]), V[:, j]
+        else:
+            rng = np.random.default_rng(0)
+            w, V = spla.eigsh(A, k=1, M=B, sigma=0.0, which="LM",
+                              v0=rng.standard_normal(n), OPinv=_shift_invert(A))
+            val, vec = float(w[0]), V[:, 0]
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise ContinuationError(f"critical eigenpair solve failed: {exc}") from exc
     phi = np.zeros(mesh.num_nodes)
     phi[work.free] = vec
     nrm = float(np.max(np.abs(phi)))
@@ -468,13 +564,19 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
                   with_n_neg=False):
     """Adapt the mesh and re-solve, `ngen` times; emits branch records before
     and after so jumps across the adaptation are measurable. Rolls back to the
-    pre-adaptation state when Newton fails on the new mesh."""
+    pre-adaptation state when the adaptation raises AdaptationError or Newton
+    fails on the new mesh."""
     n_neg = stability_index(state.mesh, state.u, state.prob, work) \
         if with_n_neg else None
     records = [make_record(state, work, n_neg=n_neg, flag=pre_flag)]
     cur, cur_work = state, work
     for _ in range(settings.ngen):
-        mesh2, u2, _ = two_step_adapt(cur.mesh, cur.u, trop, trcop)
+        try:
+            mesh2, u2, _ = two_step_adapt(cur.mesh, cur.u, trop, trcop)
+        except AdaptationError as exc:
+            logger.warning("mesh adaptation failed (%s); continuing on the "
+                           "previous mesh", exc)
+            return state, records, work, False
         work2 = FemWorkspace(mesh2, cur.prob)
         result = newton_solve(mesh2, u2, cur.prob, settings.newton_tol,
                               settings.newton_max_it, work2)

@@ -164,12 +164,51 @@ def lumped_mass(mesh):
     return m
 
 
-def dirichlet_info(mesh, prob):
-    """Dirichlet node indices and their profiles.
+def boundary_profile_values(profile, points, aux, dim=2):
+    """Array form of `eval_boundary_profile` at the rows of `points`."""
+    points = np.asarray(points, dtype=float)
+    if profile == PROFILE_ZERO:
+        return np.zeros(len(points))
+    if profile == PROFILE_COS_HALF:
+        if dim != 2:
+            raise ValueError("cos_half profile is 2D only")
+        return float(aux.get("d", 0.0)) * np.cos(points[:, 1] / 2.0)
+    if profile == PROFILE_GAUSS_SPOT:
+        return np.exp(_spot_exponent(points, aux, dim))
+    raise ValueError(f"unknown boundary profile '{profile}'")
 
-    A node on several segments is Dirichlet as soon as one of them is; among
-    its Dirichlet segments the lowest id supplies the profile, so Dirichlet
-    data wins over Neumann at corners.
+
+def boundary_profile_dparam(profile, points, aux, name, dim=2):
+    """Derivative of a boundary profile in the parameter `name` at the rows
+    of `points`; zero for parameters the profile does not read."""
+    points = np.asarray(points, dtype=float)
+    if profile == PROFILE_COS_HALF and name == "d":
+        if dim != 2:
+            raise ValueError("cos_half profile is 2D only")
+        return np.cos(points[:, 1] / 2.0)
+    if profile == PROFILE_GAUSS_SPOT and name == "xi":
+        xi = float(aux.get("xi", 0.0))
+        return 2.0 * (points[:, 0] - xi) * np.exp(_spot_exponent(points, aux, dim))
+    if profile not in (PROFILE_ZERO, PROFILE_COS_HALF, PROFILE_GAUSS_SPOT):
+        raise ValueError(f"unknown boundary profile '{profile}'")
+    return np.zeros(len(points))
+
+
+def _spot_exponent(points, aux, dim):
+    val = -(points[:, 0] - float(aux.get("xi", 0.0))) ** 2
+    if dim == 3:
+        val -= points[:, 2] ** 2
+    return val
+
+
+def dirichlet_info(mesh, prob):
+    """Dirichlet node indices and their profiles, grouped by profile.
+
+    Returns `(idx, groups)`: `groups` maps each profile name to the
+    positions in `idx` of the nodes that take it. A node on several segments
+    is Dirichlet as soon as one of them is; among its Dirichlet segments the
+    lowest id supplies the profile, so Dirichlet data wins over Neumann at
+    corners.
     """
     prob.check_bc(mesh)
     idx, profiles = [], []
@@ -178,15 +217,29 @@ def dirichlet_info(mesh, prob):
         if dsegs:
             idx.append(i)
             profiles.append(prob.bc[dsegs[0]].profile)
-    return np.array(idx, dtype=np.int64), profiles
+    profiles = np.array(profiles, dtype=object)
+    groups = {p: np.flatnonzero(profiles == p) for p in dict.fromkeys(profiles)}
+    return np.array(idx, dtype=np.int64), groups
 
 
-def dirichlet_values(mesh, prob, idx=None, profiles=None):
+def dirichlet_values(mesh, prob, idx=None, groups=None):
     """Current Dirichlet values g_i; recomputed from `prob.aux` on every call."""
     if idx is None:
-        idx, profiles = dirichlet_info(mesh, prob)
-    return np.array([eval_boundary_profile(p, mesh.nodes[i], prob.aux, mesh.dim)
-                     for i, p in zip(idx, profiles)])
+        idx, groups = dirichlet_info(mesh, prob)
+    g = np.zeros(len(idx))
+    for profile, pos in groups.items():
+        g[pos] = boundary_profile_values(profile, mesh.nodes[idx[pos]],
+                                         prob.aux, mesh.dim)
+    return g
+
+
+def dirichlet_dparam(mesh, prob, idx, groups, name):
+    """Derivative of the Dirichlet values in the parameter `name`."""
+    dg = np.zeros(len(idx))
+    for profile, pos in groups.items():
+        dg[pos] = boundary_profile_dparam(profile, mesh.nodes[idx[pos]],
+                                          prob.aux, name, mesh.dim)
+    return dg
 
 
 def nonlinearity(u, prob):
@@ -197,7 +250,7 @@ def nonlinearity_prime(u, prob):
     return prob.lam + 3.0 * u ** 2 - 5.0 * prob.gamma * u ** 4
 
 
-def residual(mesh, u, prob, K=None, M=None, dir_idx=None, dir_profiles=None):
+def residual(mesh, u, prob, K=None, M=None, dir_idx=None, dir_groups=None):
     """Nodal residual with Dirichlet rows replaced by u_i - g_i."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_nodes,):
@@ -208,9 +261,9 @@ def residual(mesh, u, prob, K=None, M=None, dir_idx=None, dir_profiles=None):
         M = assemble_mass(mesh)
     G = K @ u - M @ nonlinearity(u, prob)
     if dir_idx is None:
-        dir_idx, dir_profiles = dirichlet_info(mesh, prob)
+        dir_idx, dir_groups = dirichlet_info(mesh, prob)
     if dir_idx.size:
-        g = dirichlet_values(mesh, prob, dir_idx, dir_profiles)
+        g = dirichlet_values(mesh, prob, dir_idx, dir_groups)
         G[dir_idx] = u[dir_idx] - g
     return G
 

@@ -1,10 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import anisocont as ac
 from anisocont import continuation as ct
 from anisocont import metric
-from conftest import cos_problem, spot_problem_2d
+from conftest import cos_problem, spot_problem_2d, spot_problem_3d
 
 LAM_ANALYTIC = (0.3125, 0.5, 0.8125)   # (j/4)^2 + (l/2)^2 for (1,1),(2,1),(3,1)
 
@@ -327,3 +332,313 @@ class TestBranchCsv:
         assert lines[1].startswith("0,lambda,-0.2,")
         assert lines[2].endswith(",BP")
         assert ",," in lines[2]   # empty n_neg
+
+
+# ---------------------------------------------------------------------------
+# linear solves: parameter derivatives, the bordered solver and its oracles
+
+def fd_dresidual_dparam(work, u, prob):
+    """Central difference in the active parameter, h = 1e-7 (1 + |p|)."""
+    p = prob.get_param()
+    h = 1e-7 * (1.0 + abs(p))
+    pr = prob.copy()
+    pr.set_param(p + h)
+    g_plus = work.residual(u, pr)
+    pr.set_param(p - h)
+    g_minus = work.residual(u, pr)
+    return (g_plus - g_minus) / (2.0 * h)
+
+
+def solved(mesh, prob):
+    res = ct.newton_solve(mesh, np.zeros(mesh.num_nodes), prob)
+    assert res.converged
+    return res.u
+
+
+@pytest.fixture(scope="module")
+def cos_state():
+    m = cos_mesh(25, 13)
+    prob = cos_problem(d=1.0, lam=-0.2)
+    return m, solved(m, prob), prob
+
+
+@pytest.fixture(scope="module")
+def spot3d_state():
+    m = ac.build_box_mesh(np.pi, 1.5 * np.pi, np.pi, 5, 7, 5)
+    prob = spot_problem_3d(xi=0.4, lam=0.1)
+    return m, solved(m, prob), prob
+
+
+@pytest.fixture(scope="module")
+def switched_state():
+    m = cos_mesh(25, 13)
+    prob = cos_problem(d=0.0, lam=0.32)
+    _, phi = ct.critical_eigenpair(m, np.zeros(m.num_nodes), prob)
+    state = ct.ContinuationState(m, np.zeros(m.num_nodes), prob, ds=0.03)
+    new = ct.branch_switch(state, phi, ct.ContinuationSettings(ds0=0.03))
+    assert np.abs(new.u).max() > 1e-3
+    return m, new.u, new.prob
+
+
+def bordered_dense(J, g, r, c):
+    n = J.shape[0]
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = J.toarray()
+    A[:n, n] = g
+    A[n, :n] = r
+    A[n, n] = c
+    return A
+
+
+class TestParameterDerivatives:
+    @pytest.mark.parametrize("name", ["lambda", "gamma", "c", "d"])
+    def test_cos_state(self, cos_state, name):
+        m, u, prob = cos_state
+        self.check(m, u, prob, name)
+
+    @pytest.mark.parametrize("name", ["xi", "lambda", "gamma", "c"])
+    def test_3d_spot_state(self, spot3d_state, name):
+        m, u, prob = spot3d_state
+        self.check(m, u, prob, name)
+
+    def check(self, m, u, prob, name):
+        pr = prob.copy()
+        pr.active_param = name
+        work = ct.FemWorkspace(m, pr)
+        got = work.dresidual_dparam(u, pr)
+        ref = fd_dresidual_dparam(work, u, pr)
+        assert np.abs(ref).max() > 1e-3
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+        free = work.free
+        if name in ("lambda", "gamma", "c"):
+            assert not got[~free].any()
+        else:
+            assert not got[free].any()
+
+
+class TestBorderedSolver:
+    @pytest.mark.parametrize("state", ["cos_state", "switched_state",
+                                       "spot3d_state"])
+    def test_matches_dense_solve(self, state, request):
+        m, u, prob = request.getfixturevalue(state)
+        work = ct.FemWorkspace(m, prob)
+        J = work.jacobian(u, prob)
+        if state == "switched_state":
+            asym = abs(J - J.T)[work.free][:, work.free].max()
+            assert asym > 1e-5                 # genuinely non-symmetric
+        n = m.num_nodes
+        rng = np.random.default_rng(5)
+        g = work.dresidual_dparam(u, prob)
+        r, c = work.border(rng.standard_normal(n), 0.3)
+        f, h = rng.standard_normal(n), 0.7
+        solver = ct.BorderedSolver(J)
+        x, y = solver.solve_bordered(g, r, c, f, h)
+        z = np.linalg.solve(bordered_dense(J, g, r, c), np.append(f, h))
+        assert np.abs(np.append(x, y) - z).max() <= 1e-10 * np.abs(z).max()
+        assert solver.refinements == 0 and solver.fallbacks == 0
+        np.testing.assert_allclose(solver.solve(f),
+                                   np.linalg.solve(J.toarray(), f),
+                                   rtol=0, atol=1e-10 * np.abs(f).max())
+
+    @staticmethod
+    def singular_system():
+        """The trivial state at a computed discrete eigenvalue: J has an
+        exact one-dimensional null space, the bordered matrix has none."""
+        m = cos_mesh(25, 13)
+        prob = cos_problem(d=0.0)
+        work = ct.FemWorkspace(m, prob)
+        free = work.free
+        K = work.K1[free][:, free].toarray()
+        M = work.M[free][:, free].toarray()
+        prob.lam = float(scipy.linalg.eigh(K, M, eigvals_only=True)[0])
+        J = work.jacobian(np.zeros(m.num_nodes), prob)
+        rng = np.random.default_rng(6)
+        n = m.num_nodes
+        g, r, f = (rng.standard_normal(n) for _ in range(3))
+        return J, g, r, 0.5, f, 1.0
+
+    @staticmethod
+    def relative_residual(J, g, r, c, f, h, x, y):
+        b = np.append(f, h)
+        A = bordered_dense(J, g, r, c)
+        return np.linalg.norm(A @ np.append(x, y) - b) / np.linalg.norm(b)
+
+    def test_singular_jacobian_rejects_plain_elimination(self):
+        J, g, r, c, f, h = self.singular_system()
+        assert np.linalg.svd(J.toarray(), compute_uv=False)[-1] < 1e-12
+        solver = ct.BorderedSolver(J)
+        x, y = solver.solve_bordered(g, r, c, f, h)
+        # plain elimination misses by ~1e-4 here; the backward-error check
+        # catches it and one refinement step repairs it
+        assert solver.refinements == 1
+        assert self.relative_residual(J, g, r, c, f, h, x, y) <= 1e-10
+
+    def test_exactly_singular_jacobian_takes_the_full_lu(self):
+        J, g, r, c, f, h = self.singular_system()
+        J = J.tolil()
+        J[J.shape[0] // 2, :] = 0.0           # an interior row: LU pivot is 0
+        J = J.tocsc()
+        solver = ct.BorderedSolver(J)
+        assert solver.lu is None
+        x, y = solver.solve_bordered(g, r, c, f, h)
+        assert solver.fallbacks == 1
+        assert self.relative_residual(J, g, r, c, f, h, x, y) <= 1e-10
+
+    def test_exactly_singular_plain_solve_raises(self):
+        J = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        solver = ct.BorderedSolver(J)
+        with pytest.raises(RuntimeError):
+            solver.solve(np.ones(2))
+        # the border makes the system regular: the full LU solves it
+        x, y = solver.solve_bordered(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                                     0.0, np.array([2.0, 3.0]), 4.0)
+        assert solver.fallbacks == 1
+        np.testing.assert_allclose(np.append(x, y), [2.0, 4.0, 3.0])
+
+
+def old_compute_tangent(work, u, prob, prev_tangent):
+    """The tangent solve before the bordered solver: sp.bmat + spsolve."""
+    n = len(u)
+    J = work.jacobian(u, prob)
+    Gp = work.dresidual_dparam(u, prob)
+    tu_prev, tp_prev = prev_tangent[:n], float(prev_tangent[n])
+    row_u = ct.XI_WEIGHT * (work.M @ tu_prev) / work.domain_vol
+    row_p = (1.0 - ct.XI_WEIGHT) * tp_prev
+    A = sp.bmat([[J, Gp[:, None]],
+                 [sp.csr_matrix(row_u[None, :]), sp.csr_matrix([[row_p]])]]).tocsc()
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    t = spla.spsolve(A, rhs)
+    t /= work.norm(t[:n], t[n])
+    if work.inner(t[:n], t[n], tu_prev, tp_prev) < 0:
+        t = -t
+    return t
+
+
+def old_correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
+                max_it):
+    """The corrector before the bordered solver: sp.bmat + spsolve."""
+    n = len(u_pred)
+    tu, tp = tangent[:n], float(tangent[n])
+    row_u = ct.XI_WEIGHT * (work.M @ tu) / work.domain_vol
+    row_p = (1.0 - ct.XI_WEIGHT) * tp
+    u = np.array(u_pred, dtype=float, copy=True)
+    p = float(p_pred)
+    pr = prob.copy()
+    iters = 0
+    for k in range(max_it + 1):
+        pr.set_param(p)
+        G = work.residual(u, pr)
+        r2 = work.inner(u - base_u, p - base_p, tu, tp) - ds
+        if float(np.max(np.abs(G))) <= tol and abs(r2) <= tol:
+            return u, p, k, True
+        if k == max_it:
+            break
+        J = work.jacobian(u, pr)
+        Gp = work.dresidual_dparam(u, pr)
+        A = sp.bmat([[J, Gp[:, None]],
+                     [sp.csr_matrix(row_u[None, :]), sp.csr_matrix([[row_p]])]]).tocsc()
+        delta = spla.spsolve(A, -np.concatenate([G, [r2]]))
+        u += delta[:n]
+        p += float(delta[n])
+        iters = k + 1
+    return u, p, iters, False
+
+
+class TestAgainstBmatOracle:
+    @pytest.mark.parametrize("state", ["switched_state", "spot3d_state"])
+    def test_tangent_and_corrector(self, state, request):
+        m, u, prob = request.getfixturevalue(state)
+        work = ct.FemWorkspace(m, prob)
+        seed = np.zeros(m.num_nodes + 1)
+        seed[-1] = 1.0
+        t_old = old_compute_tangent(work, u, prob, seed)
+        t_new = ct.compute_tangent(work, u, prob, seed)
+        assert np.abs(t_new - t_old).max() <= 1e-10 * np.abs(t_old).max()
+        p0, ds = prob.get_param(), 0.05
+        args = (work, prob, u + ds * t_new[:-1], p0 + ds * t_new[-1], u, p0,
+                t_new, ds, 1e-10, 10)
+        u_old, p_old, it_old, ok_old = old_correct(*args)
+        u_new, p_new, it_new, ok_new = ct._correct(*args)
+        assert ok_old and ok_new and it_old == it_new
+        assert np.abs(u_new - u_old).max() <= 1e-10 * np.abs(u_old).max()
+        assert abs(p_new - p_old) <= 1e-10 * max(1.0, abs(p_old))
+
+
+class TestFailurePaths:
+    def test_stability_index_factorization_failure(self, monkeypatch, caplog):
+        m = cos_mesh(17, 9)
+        prob = cos_problem(d=0.0, lam=0.4)
+
+        def singular(A):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(ct, "factorize", singular)
+        with caplog.at_level(logging.WARNING, logger=ct.logger.name):
+            assert ct.stability_index(m, np.zeros(m.num_nodes), prob) is None
+        assert "factorizing the reduced pencil failed" in caplog.text
+
+    def test_critical_eigenpair_factorization_failure(self, monkeypatch):
+        m = cos_mesh(17, 9)
+        prob = cos_problem(d=0.0, lam=0.4)
+
+        def singular(A):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(ct, "factorize", singular)
+        with pytest.raises(ct.ContinuationError):
+            ct.critical_eigenpair(m, np.zeros(m.num_nodes), prob)
+
+    def test_adapt_in_cont_rolls_back_on_adaptation_error(self, monkeypatch,
+                                                          caplog):
+        m = cos_mesh(17, 9)
+        prob = spot_problem_2d(xi=0.0)
+        trop = ac.AdaptOptions.for_dim(2)
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.08, nsteps=4,
+                                           amod=2, bif_detection=False)
+
+        def broken(*args, **kwargs):
+            raise ac.AdaptationError("move pass produced an invalid mesh")
+
+        monkeypatch.setattr(ct, "two_step_adapt", broken)
+        work = ct.FemWorkspace(m, prob)
+        res = ct.newton_solve(m, np.zeros(m.num_nodes), prob, work=work)
+        state = ct.ContinuationState(m, res.u, prob, ds=0.05)
+        seed = np.zeros(m.num_nodes + 1)
+        seed[-1] = 1.0
+        state.tangent = ct.compute_tangent(work, state.u, prob, seed)
+        with caplog.at_level(logging.WARNING, logger=ct.logger.name):
+            out, records, out_work, ok = ct.adapt_in_cont(
+                state, settings, trop, None, work)
+        assert not ok
+        assert out is state and out_work is work and len(records) == 1
+        assert "mesh adaptation failed" in caplog.text
+        # the run goes on on the old mesh
+        result = ct.run_continuation(
+            ct.ContinuationState(m, np.zeros(m.num_nodes), prob, ds=0.05),
+            settings, trop=trop)
+        assert result.stop_reason == "nsteps reached"
+        assert all(r.np == m.num_nodes for r in result.records)
+        assert not any(r.flag == "ADAPT" for r in result.records)
+
+
+class TestShiftInvert:
+    def test_sparse_path_counts_match_dense(self, monkeypatch):
+        m = cos_mesh(21, 11)
+        expected = {lam: ct.stability_index(m, np.zeros(m.num_nodes),
+                                            cos_problem(d=0.0, lam=lam))
+                    for lam in (0.1, 0.4, 1.2)}
+        assert expected == {0.1: 0, 0.4: 1, 1.2: 4}
+        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
+        for lam, count in expected.items():
+            prob = cos_problem(d=0.0, lam=lam)
+            assert ct.stability_index(m, np.zeros(m.num_nodes), prob) == count
+        val, phi = ct.critical_eigenpair(m, np.zeros(m.num_nodes),
+                                         cos_problem(d=0.0, lam=0.3))
+        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 3000)
+        val_d, phi_d = ct.critical_eigenpair(m, np.zeros(m.num_nodes),
+                                             cos_problem(d=0.0, lam=0.3))
+        assert val == pytest.approx(val_d, rel=1e-8)
+        assert abs(abs(phi @ phi_d) / (phi_d @ phi_d) - 1.0) < 1e-6

@@ -201,6 +201,70 @@ class TestBoundaryProfiles:
         assert g1[where] == pytest.approx(np.exp(-(x - 2.0) ** 2))
 
 
+class TestVectorizedProfiles:
+    CASES = [("zero", 2), ("cos_half", 2), ("gauss_spot", 2),
+             ("zero", 3), ("gauss_spot", 3)]
+
+    @pytest.mark.parametrize("profile,dim", CASES)
+    def test_matches_scalar_profile(self, profile, dim):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-4.0, 4.0, size=(200, dim))
+        aux = {"d": 1.7, "xi": 0.6}
+        got = fem.boundary_profile_values(profile, points, aux, dim)
+        ref = [ac.eval_boundary_profile(profile, x, aux, dim) for x in points]
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-300)
+
+    def test_rejects_what_the_scalar_rejects(self):
+        with pytest.raises(ValueError):
+            fem.boundary_profile_values("sombrero", np.zeros((3, 2)), {}, 2)
+        with pytest.raises(ValueError):
+            fem.boundary_profile_values("cos_half", np.zeros((3, 3)), {}, 3)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dirichlet_values_match_per_node_loop(self, dim):
+        if dim == 2:
+            mesh = ac.build_rect_mesh(2 * np.pi, np.pi, 17, 9)
+            profiles = ("zero", "cos_half", "gauss_spot", "zero")
+        else:
+            mesh = ac.build_box_mesh(2.0, 3.0, 2.0, 5, 6, 5)
+            profiles = ("gauss_spot", "zero", "gauss_spot", "zero",
+                        "gauss_spot", "zero")
+        prob = ac.ProblemDef(aux={"d": 0.8, "xi": 0.4}, active_param="xi",
+                             bc={k + 1: ac.dirichlet(p)
+                                 for k, p in enumerate(profiles)})
+        idx, groups = fem.dirichlet_info(mesh, prob)
+        names = set(groups)
+        assert names == set(profiles)
+        profile_of = {}
+        for name, pos in groups.items():
+            profile_of.update({int(i): name for i in idx[pos]})
+        for i in idx:
+            segs = sorted(mesh.boundary_node_flags[i])
+            assert profile_of[int(i)] == prob.bc[segs[0]].profile
+        ref = [ac.eval_boundary_profile(profile_of[int(i)], mesh.nodes[i],
+                                        prob.aux, dim) for i in idx]
+        np.testing.assert_allclose(fem.dirichlet_values(mesh, prob), ref,
+                                   rtol=1e-15, atol=1e-300)
+
+    def test_profile_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(4)
+        for profile, dim, name in (("cos_half", 2, "d"), ("gauss_spot", 2, "xi"),
+                                   ("gauss_spot", 3, "xi")):
+            points = rng.uniform(-2.0, 2.0, size=(50, dim))
+            aux = {"d": 0.3, "xi": 0.2}
+            h = 1e-6
+            plus = fem.boundary_profile_values(profile, points,
+                                               {**aux, name: aux[name] + h}, dim)
+            minus = fem.boundary_profile_values(profile, points,
+                                                {**aux, name: aux[name] - h}, dim)
+            got = fem.boundary_profile_dparam(profile, points, aux, name, dim)
+            np.testing.assert_allclose(got, (plus - minus) / (2 * h),
+                                       rtol=1e-6, atol=1e-9)
+            other = "xi" if name == "d" else "d"
+            assert not fem.boundary_profile_dparam(profile, points, aux,
+                                                   other, dim).any()
+
+
 class TestSymmetry:
     def test_residual_commutes_with_reflection(self):
         # mirror-symmetric mesh (odd nx) and symmetric spot data
