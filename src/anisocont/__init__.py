@@ -1,18 +1,17 @@
 """Anisotropic mesh adaptation coupled to pseudo-arclength continuation."""
 
 from .mesh import (SegmentMap, SimplicialMesh, ValidationReport,
-                   build_box_mesh, build_rect_mesh, element_quality_euclidean,
-                   interpolate, simplex_quality, unique_edges, validate)
+                   build_box_mesh, build_rect_mesh, interpolate, quality,
+                   unique_edges, validate)
 from .meshio import (read_field_text, read_mesh_text, write_field_text,
                      write_mesh_text, write_vtk)
 from .fem import (BoundaryCondition, ProblemDef, assemble_mass,
                   assemble_stiffness, dirichlet, eval_boundary_profile,
                   jacobian, l2_norm, neumann, residual)
-from .metric import (EtaPolicy, MetricField, compute_metric,
-                     edge_length_metric, eval_eta, recover_hessian,
-                     select_field)
+from .metric import (EtaPolicy, MetricField, compute_metric, eval_eta,
+                     recover_hessian, select_field)
 from .adapt import (ActionMask, AdaptOptions, AdaptationError, CoarsenOptions,
-                    coarsen_pass, combined_quality, decode_sw, encode_sw,
+                    coarsen_pass, decode_sw, encode_sw,
                     move_pass, refine_pass, swap_pass, tradapt, two_step_adapt)
 from .continuation import (BranchRecord, ContinuationSettings,
                            ContinuationState, FemWorkspace, NewtonResult,

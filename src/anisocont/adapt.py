@@ -16,14 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import (SimplicialMesh, _QUALITY_NORM, _node_flags, unique_edges,
-                   validate)
+from .mesh import (SimplicialMesh, _facet_keys, _node_flags, _p1_weights,
+                   _slots_by_count, facet_topology, quality, signed_volumes,
+                   unique_edges, validate)
 from .metric import MetricField, EtaPolicy, edge_lengths, metric_for_field
 
 logger = logging.getLogger(__name__)
 
 _MAX_REFINE_ROUNDS = 64
-_SWAP_SWEEPS = 3
+# a two-phase swap sweep defers the candidates an earlier swap of the sweep
+# rewired, so it takes more sweeps to reach what a sequential sweep reaches
+_SWAP_SWEEPS = 8
 # a collapse/move may not drop any touched element below this fraction of the
 # pre-operation worst combined quality
 _QUALITY_FLOOR_FACTOR = 0.1
@@ -150,117 +153,6 @@ class TwoStepStats:
         return lines
 
 
-def _tet_edges(coords, i, j, k, l):
-    """Edge vectors j-i, k-i, l-i as nine Python floats (cheaper to combine
-    than numpy scalars, and rounded identically)."""
-    x0, y0, z0 = coords[i].tolist()
-    x1, y1, z1 = coords[j].tolist()
-    x2, y2, z2 = coords[k].tolist()
-    x3, y3, z3 = coords[l].tolist()
-    return (x1 - x0, y1 - y0, z1 - z0, x2 - x0, y2 - y0, z2 - z0,
-            x3 - x0, y3 - y0, z3 - z0)
-
-
-def _tet_volume(coords, i, j, k, l):
-    """Signed volume of tetrahedron (i, j, k, l); scalar hot path."""
-    ax, ay, az, bx, by, bz, cx, cy, cz = _tet_edges(coords, i, j, k, l)
-    return (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
-            + az * (bx * cy - by * cx)) / 6.0
-
-
-def _quality2(coords, tensors, i, j, k, qual_p):
-    """Combined quality of triangle (i, j, k); scalar hot path."""
-    x0 = coords[i, 0]
-    y0 = coords[i, 1]
-    e1x = coords[j, 0] - x0
-    e1y = coords[j, 1] - y0
-    e2x = coords[k, 0] - x0
-    e2y = coords[k, 1] - y0
-    vol = 0.5 * (e1x * e2y - e1y * e2x)
-    if vol <= 0.0:
-        return 0.0
-    m00 = (tensors[i, 0, 0] + tensors[j, 0, 0] + tensors[k, 0, 0]) / 3.0
-    m01 = (tensors[i, 0, 1] + tensors[j, 0, 1] + tensors[k, 0, 1]) / 3.0
-    m11 = (tensors[i, 1, 1] + tensors[j, 1, 1] + tensors[k, 1, 1]) / 3.0
-    det = m00 * m11 - m01 * m01
-    if det <= 0.0:
-        return 0.0
-    e3x = e2x - e1x
-    e3y = e2y - e1y
-    ssq_m = (m00 * (e1x * e1x + e2x * e2x + e3x * e3x)
-             + 2.0 * m01 * (e1x * e1y + e2x * e2y + e3x * e3y)
-             + m11 * (e1y * e1y + e2y * e2y + e3y * e3y))
-    norm = _QUALITY_NORM[2]
-    q_m = norm * vol * math.sqrt(det) / ssq_m
-    if qual_p == 0.0:
-        return q_m
-    ssq_e = e1x * e1x + e1y * e1y + e2x * e2x + e2y * e2y + e3x * e3x + e3y * e3y
-    q_e = norm * vol / ssq_e
-    return q_m * q_e ** qual_p
-
-
-def _quality3(coords, tensors, i, j, k, l, qual_p):
-    """Combined quality of tetrahedron (i, j, k, l); scalar hot path."""
-    vol = _tet_volume(coords, i, j, k, l)
-    if vol <= 0.0:
-        return 0.0
-    ax, ay, az, bx, by, bz, cx, cy, cz = _tet_edges(coords, i, j, k, l)
-    m00 = (tensors[i, 0, 0] + tensors[j, 0, 0] + tensors[k, 0, 0] + tensors[l, 0, 0]) / 4.0
-    m01 = (tensors[i, 0, 1] + tensors[j, 0, 1] + tensors[k, 0, 1] + tensors[l, 0, 1]) / 4.0
-    m02 = (tensors[i, 0, 2] + tensors[j, 0, 2] + tensors[k, 0, 2] + tensors[l, 0, 2]) / 4.0
-    m11 = (tensors[i, 1, 1] + tensors[j, 1, 1] + tensors[k, 1, 1] + tensors[l, 1, 1]) / 4.0
-    m12 = (tensors[i, 1, 2] + tensors[j, 1, 2] + tensors[k, 1, 2] + tensors[l, 1, 2]) / 4.0
-    m22 = (tensors[i, 2, 2] + tensors[j, 2, 2] + tensors[k, 2, 2] + tensors[l, 2, 2]) / 4.0
-    det = (m00 * (m11 * m22 - m12 * m12) - m01 * (m01 * m22 - m12 * m02)
-           + m02 * (m01 * m12 - m11 * m02))
-    if det <= 0.0:
-        return 0.0
-    ssq_m = 0.0
-    ssq_e = 0.0
-    # the six edges: j-i, k-i, l-i, k-j, l-j, l-k
-    for (vx, vy, vz) in ((ax, ay, az), (bx, by, bz), (cx, cy, cz),
-                         (bx - ax, by - ay, bz - az),
-                         (cx - ax, cy - ay, cz - az),
-                         (cx - bx, cy - by, cz - bz)):
-        ssq_e += vx * vx + vy * vy + vz * vz
-        ssq_m += (m00 * vx * vx + m11 * vy * vy + m22 * vz * vz
-                  + 2.0 * (m01 * vx * vy + m02 * vx * vz + m12 * vy * vz))
-    norm = _QUALITY_NORM[3]
-    q_m = norm * vol * math.sqrt(det) / ssq_m ** 1.5
-    if qual_p == 0.0:
-        return q_m
-    q_e = norm * vol / ssq_e ** 1.5
-    return q_m * q_e ** qual_p
-
-
-def _quality_ids(coords, tensors, ids, qual_p):
-    if len(ids) == 3:
-        return _quality2(coords, tensors, ids[0], ids[1], ids[2], qual_p)
-    return _quality3(coords, tensors, ids[0], ids[1], ids[2], ids[3], qual_p)
-
-
-def combined_quality_coords(pts, mats, qual_p):
-    """Combined quality of one simplex from vertex coords and metrics.
-
-    The metric-space quality is the Euclidean quality of the simplex mapped
-    by the square root of the vertex-averaged metric, computed via the
-    invariant form vol*sqrt(det(Mbar)) / (sum of M-edge lengths^2)^(d/2).
-    """
-    pts = np.asarray(pts, dtype=float)
-    mats = np.asarray(mats, dtype=float)
-    ids = tuple(range(pts.shape[0]))
-    return _quality_ids(pts, mats, ids, qual_p)
-
-
-def combined_quality(mesh, psi, elem, qual_p):
-    """Combined metric/Euclidean quality of mesh element `elem`."""
-    if np.isscalar(elem):
-        ids = mesh.elements[int(elem)]
-    else:
-        ids = np.asarray(elem, dtype=np.int64)
-    return combined_quality_coords(mesh.nodes[ids], psi.tensors[ids], qual_p)
-
-
 def max_metric_edge_length(mesh, psi):
     edges = unique_edges(mesh.elements)
     if len(edges) == 0:
@@ -302,9 +194,9 @@ class _Editor:
             self.facets[key] = int(seg)
             for v in key:
                 self.node2facets[v].add(key)
-        # per-element combined quality, lazily filled; coords/tensors of
-        # existing nodes never change inside one pass, so entries only need
-        # invalidation when an element is killed, added or rewired
+        # per-element combined quality, filled in batches by try_collapse;
+        # coords/tensors of existing nodes never change inside one pass, so
+        # entries only need invalidation when an element is killed or rewired
         self._qcache = {}
 
     def _grow(self):
@@ -352,16 +244,6 @@ class _Editor:
     def edge_exists(self, a, b):
         return bool(self.node2el[a] & self.node2el[b])
 
-    def elem_quality(self, e, qual_p):
-        q = self._qcache.get(e)
-        if q is None:
-            q = _quality_ids(self.coords, self.tensors, self.elems[e], qual_p)
-            self._qcache[e] = q
-        return q
-
-    def quality_of(self, nodes, qual_p):
-        return _quality_ids(self.coords, self.tensors, nodes, qual_p)
-
     # -- coarsening -------------------------------------------------------
 
     def try_collapse(self, a, b, qual_p):
@@ -374,39 +256,48 @@ class _Editor:
             directions.append((a, b))       # keep a, remove b
         if fa <= fb:
             directions.append((b, a))
+        plans = [plan for plan in (self._plan_collapse(s, r) for s, r in directions)
+                 if plan is not None]
+        if not plans:
+            return False
+        # one quality call scores the rewired elements of every plan and the
+        # touched elements not cached yet
+        touched = self.node2el[a] | self.node2el[b]
+        missing = [e for e in touched if e not in self._qcache]
+        rows = [self.elems[e] for e in missing]
+        rows += [nodes for plan in plans for _, nodes, _ in plan[3]]
+        q = quality(self.coords, self.tensors, rows, qual_p).tolist()
+        self._qcache.update(zip(missing, q))
+        thresh = _QUALITY_FLOOR_FACTOR * min(self._qcache[e] for e in touched)
         best = None
-        for s, r in directions:
-            plan = self._plan_collapse(s, r, qual_p)
-            if plan is not None and (best is None or plan[0] > best[0]):
-                best = plan
+        k = len(missing)
+        for plan in plans:
+            q_plan = q[k:k + len(plan[3])]
+            k += len(q_plan)
+            min_q = min(q_plan, default=np.inf)
+            if min_q <= 0.0 or min_q < thresh:
+                continue                    # would invert or wreck local quality
+            if best is None or min_q > best[0]:
+                best = (min_q, plan, q_plan)
         if best is None:
             return False
-        self._commit_collapse(best)
+        self._commit_collapse(*best[1:])
         return True
 
-    def _plan_collapse(self, s, r, qual_p):
+    def _plan_collapse(self, s, r):
+        """The topology of collapsing r into s, or None if it is not allowed."""
         dying = self.node2el[s] & self.node2el[r]
         if not dying:
             return None
-        touched = self.node2el[s] | self.node2el[r]
-        q_before = min(self.elem_quality(e, qual_p) for e in touched)
-        thresh = _QUALITY_FLOOR_FACTOR * q_before
         new_elems = []
         plan_keys = set()
-        min_q = np.inf
         for e in sorted(self.node2el[r] - dying):
             nodes = tuple(s if v == r else v for v in self.elems[e])
             key = tuple(sorted(nodes))
             if key in self.elem_key or key in plan_keys:
                 return None                 # would duplicate an element
-            q = _quality_ids(self.coords, self.tensors, nodes, qual_p)
-            if q <= 0.0:
-                return None                 # would invert
-            if q < thresh:
-                return None                 # would wreck local quality
             plan_keys.add(key)
-            min_q = min(min_q, q)
-            new_elems.append((e, nodes, key, q))
+            new_elems.append((e, nodes, key))
         # no vertex of a dying element may lose its last element
         for e in dying:
             for v in self.elems[e]:
@@ -426,13 +317,13 @@ class _Editor:
                 return None                 # would merge boundary facets
             new_fkeys.add(newkey)
             remapped.append((key, newkey))
-        return (min_q, s, r, dying, new_elems, dead_facets, remapped)
+        return (s, r, dying, new_elems, dead_facets, remapped)
 
-    def _commit_collapse(self, plan):
-        _, s, r, dying, new_elems, dead_facets, remapped = plan
+    def _commit_collapse(self, plan, q_new):
+        s, r, dying, new_elems, dead_facets, remapped = plan
         for e in sorted(dying):
             self.kill_elem(e)
-        for e, nodes, key, q in new_elems:
+        for (e, nodes, key), q in zip(new_elems, q_new):
             del self.elem_key[tuple(sorted(self.elems[e]))]
             self.elems[e] = nodes
             self.elem_key[key] = e
@@ -567,91 +458,90 @@ def refine_pass(mesh, u, psi, opts):
     return new_mesh, new_u, new_psi, n_split
 
 
-def _group_by_node(owner, value, n):
-    """Per node id in range(n), the values whose owner it is, in input order."""
-    order = np.argsort(owner, kind="stable")
-    return np.split(value[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
-
-
 def move_pass(mesh, u, psi, opts):
     """One smoothing sweep: propose each node at the metric-weighted average
     of its neighbors (weights 1/L^2), damped by 0.5; reject moves that invert
     an incident element or lower the worst combined quality of the star.
     Boundary nodes slide within their face only; nodes on several segments
-    stay fixed. Field values at moved nodes are re-interpolated from the
-    pre-move mesh.
+    stay fixed. Field values and metric tensors at moved nodes are
+    re-interpolated from the pre-move mesh.
+
+    Proposals read sweep-start positions only, so they are computed for all
+    nodes at once. The checks run in rounds, each over an independent set of
+    pairwise non-adjacent nodes, whose stars share no element: a node joins
+    a round when its fixed pseudo-random priority is the lowest among its
+    still-pending neighbours (Jones and Plassmann, SIAM J. Sci. Comput.
+    1993). Each round scores the union of its stars in one quality call and
+    sees the moves of the earlier rounds.
     """
     d = mesh.dim
-    coords = mesh.nodes.copy()
-    tensors = psi.tensors
-    flags = mesh.boundary_node_flags
-    smap = mesh.segment_map
     n = mesh.num_nodes
-    a, b = unique_edges(mesh.elements).T
-    nbrs = _group_by_node(np.concatenate([b, a]), np.concatenate([a, b]), n)
-    n2e = _group_by_node(mesh.elements.ravel(),
-                         np.arange(mesh.elements.size) // (d + 1), n)
-    scale = mesh.diameter()
-    frozen = mesh.nodes                       # proposals from sweep-start positions
-    elem_q = np.full(mesh.num_elements, np.nan)
-    moved = []
-    for i in range(n):
-        f = flags[i]
-        if len(f) >= 2:
-            continue
-        cand = nbrs[i]
-        if f:
-            cand = cand[np.array([f <= flags[j] for j in cand], dtype=bool)]
-        if len(cand) == 0:
-            continue
-        pts = frozen[cand]
-        vecs = pts - frozen[i]
-        Mbar = 0.5 * (tensors[cand] + tensors[i])
-        lsq = np.maximum(np.einsum("ij,ijk,ik->i", vecs, Mbar, vecs), 1e-300)
-        w = 1.0 / lsq
-        proposal = (w[:, None] * pts).sum(axis=0) / w.sum()
-        new = coords[i] + _MOVE_DAMPING * (proposal - coords[i])
-        if f:
-            axis, value = smap.plane(next(iter(f)))
-            new[axis] = value
-        if np.max(np.abs(new - coords[i])) < 1e-14 * scale:
-            continue
-        q_old = np.inf
-        for e in n2e[i]:
-            if np.isnan(elem_q[e]):
-                elem_q[e] = _quality_ids(coords, tensors, mesh.elements[e],
-                                         opts.qual_p)
-            q_old = min(q_old, elem_q[e])
-        old_pos = coords[i].copy()
-        coords[i] = new
-        ok = True
-        q_new = np.inf
-        trial = []
-        for e in n2e[i]:
-            q = _quality_ids(coords, tensors, mesh.elements[e], opts.qual_p)
-            if q <= 0.0:
-                ok = False
-                break
-            trial.append((e, q))
-            q_new = min(q_new, q)
-        if not ok or q_new < q_old - 1e-13 * max(1.0, q_old):
-            coords[i] = old_pos
-            continue
-        for e, q in trial:
-            elem_q[e] = q
-        moved.append(i)
+    nodes, elements, tensors = mesh.nodes, mesh.elements, psi.tensors
+    a, b = unique_edges(elements).T
+    _, seg_ids, member = _node_flags(n, mesh.boundary_facets, mesh.facet_segments)
+    n_segs = member.sum(axis=1)
+    face = member.argmax(axis=1)
+    # the neighbours j a node i averages: all of them for an interior node,
+    # those on its face for a node on one face, none for the other nodes
+    i, j = np.concatenate([a, b]), np.concatenate([b, a])
+    keep = (n_segs[i] == 0) | ((n_segs[i] == 1) & member[j, face[i]])
+    i, j = i[keep], j[keep]
+    vecs = nodes[j] - nodes[i]
+    # squared lengths under the endpoint-averaged metric, one tensor entry
+    # at a time rather than gathering (pairs, d, d) tensor copies
+    lsq = 0.5 * sum(vecs[:, r] * vecs[:, c] * (tensors[j, r, c] + tensors[i, r, c])
+                    for r in range(d) for c in range(d))
+    w = 1.0 / np.maximum(lsq, 1e-300)
+    wsum = np.bincount(i, weights=w, minlength=n)
+    has = wsum > 0.0
+    proposal = np.column_stack([np.bincount(i, weights=w * nodes[j, k], minlength=n)
+                                for k in range(d)])
+    proposal[has] /= wsum[has, None]
+    new = nodes + _MOVE_DAMPING * (proposal - nodes)
+    on_face = np.nonzero(has & (n_segs == 1))[0]
+    plane_ids, axes, values = mesh.segment_map.planes()
+    plane = np.searchsorted(plane_ids, seg_ids[face[on_face]])
+    new[on_face, axes[plane]] = values[plane]
+    pending = has & (np.abs(new - nodes).max(axis=1) >= 1e-14 * mesh.diameter())
+
+    star_elem = np.argsort(elements.ravel(), kind="stable") // (d + 1)
+    star_ptr = np.concatenate([[0], np.cumsum(np.bincount(elements.ravel(),
+                                                          minlength=n))])
+    elem_q = quality(nodes, tensors, elements, opts.qual_p)
+    priority = np.random.default_rng(0).permutation(n)
+    coords = nodes.copy()
+    moved = np.zeros(n, dtype=bool)
+    while pending.any():
+        live = pending[a] & pending[b]
+        a, b = a[live], b[live]
+        chosen = pending.copy()
+        chosen[np.where(priority[a] > priority[b], a, b)] = False
+        chosen = np.nonzero(chosen)[0]
+        pending[chosen] = False
+        counts = star_ptr[chosen + 1] - star_ptr[chosen]
+        first = np.cumsum(counts) - counts
+        star = star_elem[np.repeat(star_ptr[chosen] - first, counts)
+                         + np.arange(counts.sum())]
+        coords[chosen] = new[chosen]
+        q = quality(coords, tensors, elements[star], opts.qual_p)
+        q_new = np.minimum.reduceat(q, first)
+        q_old = np.minimum.reduceat(elem_q[star], first)
+        ok = (q_new > 0.0) & (q_new >= q_old - 1e-13 * np.maximum(1.0, q_old))
+        coords[chosen[~ok]] = nodes[chosen[~ok]]
+        kept = np.repeat(ok, counts)
+        elem_q[star[kept]] = q[kept]
+        moved[chosen[ok]] = True
     # re-interpolate moved nodes from the pre-move mesh and field
-    u_orig = np.asarray(u, dtype=float)
-    u_new = u_orig.copy()
+    u_old = np.asarray(u, dtype=float)
+    u_new = u_old.copy()
     tensors_new = tensors.copy()
-    if moved:
-        loc = mesh.locator()
-        for i in moved:
-            e, lam, _ = loc.locate(coords[i])
-            ids = mesh.elements[e]
-            u_new[i] = float(lam @ u_orig[ids])
-            tensors_new[i] = np.einsum("v,vjk->jk", lam, tensors[ids])
-    new_mesh = SimplicialMesh(d, coords, mesh.elements.copy(),
+    moved = np.nonzero(moved)[0]
+    if moved.size:
+        verts, lam, _ = _p1_weights(mesh, coords[moved])
+        u_new[moved] = (lam * u_old[verts]).sum(axis=1)
+        tensors_new[moved] = sum(lam[:, v, None, None] * tensors[verts[:, v]]
+                                 for v in range(d + 1))
+    new_mesh = SimplicialMesh(d, coords, elements.copy(),
                               mesh.boundary_facets.copy(),
                               mesh.facet_segments.copy(),
                               list(mesh.boundary_node_flags), mesh.box.copy())
@@ -663,92 +553,67 @@ def swap_pass(mesh, u, psi, opts):
 
     2D: flip the shared diagonal of adjacent triangle pairs when it strictly
     raises the pair's minimum combined quality. 3D: 2-3 face and 3-2 edge
-    swaps under the same criterion. Up to three sweeps.
+    swaps under the same criterion. Up to eight sweeps. Each sweep collects
+    its candidates from the sweep-start mesh, scores them in one quality
+    call and commits the improving ones in key order (in 3D the face swaps
+    first); a candidate whose elements an earlier swap of the same sweep
+    rewired is skipped, and the next sweep sees it again.
     """
     if mesh.dim == 2:
         return _swap_2d(mesh, u, psi, opts)
     return _swap_3d(mesh, u, psi, opts)
 
 
+def _take_disjoint(groups, used):
+    """Indices of the rows of `groups` (element ids), in order, that share no
+    element with `used` or an earlier taken row; marks taken elements used."""
+    taken = []
+    for k, row in enumerate(groups.tolist()):
+        if not any(used[e] for e in row):
+            for e in row:
+                used[e] = 1
+            taken.append(k)
+    return np.array(taken, dtype=np.int64)
+
+
+def _oriented(simplices, vols):
+    """`simplices` (..., d+1) with their first two vertices exchanged where
+    `vols`, their signed volumes, are not positive."""
+    flipped = simplices[..., [1, 0] + list(range(2, simplices.shape[-1]))]
+    return np.where((vols > 0.0)[..., None], simplices, flipped)
+
+
 def _swap_2d(mesh, u, psi, opts):
-    coords = mesh.nodes
-    tensors = psi.tensors
-    elems = [tuple(int(v) for v in e) for e in mesh.elements]
-    edge2el = {}
-
-    def edge_key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    def register(e):
-        a, b, c = elems[e]
-        for key in (edge_key(a, b), edge_key(b, c), edge_key(a, c)):
-            edge2el.setdefault(key, set()).add(e)
-
-    def unregister(e):
-        a, b, c = elems[e]
-        for key in (edge_key(a, b), edge_key(b, c), edge_key(a, c)):
-            edge2el[key].discard(e)
-
-    for e in range(len(elems)):
-        register(e)
-
-    def quality(nodes):
-        return _quality_ids(coords, tensors, nodes, opts.qual_p)
-
-    qmemo = {}
-
-    def elem_q(e):
-        q = qmemo.get(e)
-        if q is None:
-            q = quality(elems[e])
-            qmemo[e] = q
-        return q
-
-    def area2(i, j, k):
-        v1 = coords[j] - coords[i]
-        v2 = coords[k] - coords[i]
-        return v1[0] * v2[1] - v1[1] * v2[0]
-
+    coords, tensors = mesh.nodes, psi.tensors
+    n = mesh.num_nodes
+    elems = mesh.elements.copy()
+    elem_q = quality(coords, tensors, elems, opts.qual_p)
     n_flips = 0
     for _ in range(_SWAP_SWEEPS):
-        flips = 0
-        for key in sorted(edge2el):
-            members = edge2el.get(key, ())
-            if len(members) != 2:
-                continue
-            e1, e2 = sorted(members)
-            a, b = key
-            c = next(v for v in elems[e1] if v not in key)
-            dd = next(v for v in elems[e2] if v not in key)
-            if c == dd:
-                continue
-            newkey = edge_key(c, dd)
-            if edge2el.get(newkey):
-                continue
-            va = area2(c, dd, a)
-            vb = area2(c, dd, b)
-            if va * vb >= 0.0:
-                continue                     # quad not strictly convex
-            t1 = (c, dd, a) if va > 0 else (dd, c, a)
-            t2 = (c, dd, b) if vb > 0 else (dd, c, b)
-            q_old = min(elem_q(e1), elem_q(e2))
-            qt1, qt2 = quality(t1), quality(t2)
-            if min(qt1, qt2) <= q_old * (1.0 + 1e-10):
-                continue
-            unregister(e1)
-            unregister(e2)
-            elems[e1] = t1
-            elems[e2] = t2
-            register(e1)
-            register(e2)
-            qmemo[e1] = qt1
-            qmemo[e2] = qt2
-            flips += 1
-        n_flips += flips
-        if flips == 0:
+        edges, elem_edges, counts = facet_topology(elems, n)
+        # per interior edge (a, b), in key order: its elements e1 < e2 and
+        # their vertices c, dd opposite it
+        slots, inner = _slots_by_count(elem_edges.ravel(), counts, 2)
+        (e1, e2), (c, dd) = slots.T // 3, elems.ravel()[slots].T
+        a, b = edges[inner].T
+        t1, t2 = np.column_stack([c, dd, a]), np.column_stack([c, dd, b])
+        va, vb = signed_volumes(coords, t1), signed_volumes(coords, t2)
+        new_edge = _facet_keys(np.sort(np.column_stack([c, dd]), axis=1), n)
+        ok = (c != dd) & ~np.isin(new_edge, _facet_keys(edges, n))
+        ok &= va * vb < 0.0                  # quad strictly convex
+        t1, t2 = _oriented(t1, va)[ok], _oriented(t2, vb)[ok]
+        e1, e2 = e1[ok], e2[ok]
+        q = quality(coords, tensors, np.vstack([t1, t2]), opts.qual_p).reshape(2, -1)
+        q_old = np.minimum(elem_q[e1], elem_q[e2])
+        better = np.nonzero(q.min(axis=0) > q_old * (1.0 + 1e-10))[0]
+        pairs = np.column_stack([e1, e2])[better]
+        flip = better[_take_disjoint(pairs, bytearray(len(elems)))]
+        elems[e1[flip]], elems[e2[flip]] = t1[flip], t2[flip]
+        elem_q[e1[flip]], elem_q[e2[flip]] = q[0, flip], q[1, flip]
+        n_flips += len(flip)
+        if len(flip) == 0:
             break
-    new_mesh = SimplicialMesh(2, mesh.nodes.copy(),
-                              np.array(elems, dtype=np.int64),
+    new_mesh = SimplicialMesh(2, mesh.nodes.copy(), elems,
                               mesh.boundary_facets.copy(),
                               mesh.facet_segments.copy(),
                               list(mesh.boundary_node_flags), mesh.box.copy())
@@ -756,129 +621,68 @@ def _swap_2d(mesh, u, psi, opts):
 
 
 def _swap_3d(mesh, u, psi, opts):
-    coords = mesh.nodes
-    tensors = psi.tensors
-    elems = [tuple(int(v) for v in e) for e in mesh.elements]
-    alive = [True] * len(elems)
-    face2el = {}
-    edge2el = {}
-    bfaces = set(map(tuple, np.sort(mesh.boundary_facets, axis=1).tolist()))
-    bedges = set(map(tuple, unique_edges(mesh.boundary_facets).tolist()))
-
-    def register(e):
-        nodes = elems[e]
-        for i in range(4):
-            fkey = tuple(sorted(nodes[:i] + nodes[i + 1:]))
-            face2el.setdefault(fkey, set()).add(e)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                ekey = tuple(sorted((nodes[i], nodes[j])))
-                edge2el.setdefault(ekey, set()).add(e)
-
-    def unregister(e):
-        nodes = elems[e]
-        for i in range(4):
-            fkey = tuple(sorted(nodes[:i] + nodes[i + 1:]))
-            face2el[fkey].discard(e)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                edge2el[tuple(sorted((nodes[i], nodes[j])))].discard(e)
-
-    for e in range(len(elems)):
-        register(e)
-
-    def quality(nodes):
-        return _quality_ids(coords, tensors, nodes, opts.qual_p)
-
-    qmemo = {}
-
-    def elem_q(e):
-        q = qmemo.get(e)
-        if q is None:
-            q = quality(elems[e])
-            qmemo[e] = q
-        return q
-
-    def orient(nodes):
-        if _tet_volume(coords, *nodes) > 0:
-            return nodes
-        return (nodes[0], nodes[2], nodes[1], nodes[3])
-
-    def add_tet(nodes):
-        elems.append(nodes)
-        alive.append(True)
-        register(len(elems) - 1)
-
-    def kill_tet(e):
-        unregister(e)
-        alive[e] = False
-        qmemo.pop(e, None)
-
+    coords, tensors = mesh.nodes, psi.tensors
+    n = mesh.num_nodes
+    elems = mesh.elements.copy()
+    elem_q = quality(coords, tensors, elems, opts.qual_p)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     n_swaps = 0
     for _ in range(_SWAP_SWEEPS):
-        swaps = 0
-        for fkey in sorted(face2el):
-            members = face2el.get(fkey, ())
-            if len(members) != 2 or fkey in bfaces:
-                continue
-            e1, e2 = sorted(members)
-            p = next(v for v in elems[e1] if v not in fkey)
-            q = next(v for v in elems[e2] if v not in fkey)
-            if p == q or edge2el.get(tuple(sorted((p, q)))):
-                continue
-            f0, f1, f2 = fkey
-            vols = [_tet_volume(coords, p, f0, f1, q), _tet_volume(coords, p, f1, f2, q),
-                    _tet_volume(coords, p, f2, f0, q)]
-            if not (all(v > 0 for v in vols) or all(v < 0 for v in vols)):
-                continue                     # p-q does not pierce the face
-            new_tets = [orient((p, f0, f1, q)), orient((p, f1, f2, q)),
-                        orient((p, f2, f0, q))]
-            q_old = min(elem_q(e1), elem_q(e2))
-            q_new = min(quality(t) for t in new_tets)
-            if q_new <= q_old * (1.0 + 1e-10):
-                continue
-            kill_tet(e1)
-            kill_tet(e2)
-            for t in new_tets:
-                add_tet(t)
-            swaps += 1
-        for ekey in sorted(edge2el):
-            members = edge2el.get(ekey, ())
-            if len(members) != 3 or ekey in bedges:
-                continue
-            e0, e1n = ekey
-            tets = sorted(members)
-            ring = set()
-            for e in tets:
-                ring.update(elems[e])
-            ring -= {e0, e1n}
-            if len(ring) != 3:
-                continue
-            a, b, c = sorted(ring)
-            fnew = (a, b, c)
-            if face2el.get(fnew):
-                continue
-            v0 = _tet_volume(coords, a, b, c, e0)
-            v1 = _tet_volume(coords, a, b, c, e1n)
-            if v0 * v1 >= 0.0:
-                continue
-            t1 = orient((a, b, c, e0))
-            t2 = orient((a, b, c, e1n))
-            q_old = min(elem_q(e) for e in tets)
-            q_new = min(quality(t1), quality(t2))
-            if q_new <= q_old * (1.0 + 1e-10):
-                continue
-            for e in tets:
-                kill_tet(e)
-            add_tet(t1)
-            add_tet(t2)
-            swaps += 1
+        faces, elem_faces, face_counts = facet_topology(elems, n)
+        ends = np.sort(elems[:, pairs].reshape(-1, 2), axis=1)
+        edge_keys, elem_edges, edge_counts = np.unique(
+            _facet_keys(ends, n), return_inverse=True, return_counts=True)
+        # 2-3: per interior face (f0, f1, f2), in key order, its tets e1 < e2
+        # and their apexes p, q; p-q must be a new edge that pierces the face
+        slots, inner = _slots_by_count(elem_faces.ravel(), face_counts, 2)
+        old23 = slots // 4
+        p, q = elems.ravel()[slots].T
+        f0, f1, f2 = faces[inner].T
+        tets23 = np.stack([np.column_stack([p, f0, f1, q]),
+                           np.column_stack([p, f1, f2, q]),
+                           np.column_stack([p, f2, f0, q])], axis=1)
+        vols = signed_volumes(coords, tets23.reshape(-1, 4)).reshape(-1, 3)
+        new_edge = _facet_keys(np.sort(np.column_stack([p, q]), axis=1), n)
+        ok = ((p != q) & ~np.isin(new_edge, edge_keys)
+              & (np.all(vols > 0.0, axis=1) | np.all(vols < 0.0, axis=1)))
+        old23, tets23 = old23[ok], _oriented(tets23[ok], vols[ok])
+        # 3-2: per edge (e0, e1) in exactly three tets, in key order, whose
+        # other vertices close a ring a < b < c; the new face abc must not
+        # exist yet and must separate e0 from e1
+        slots, _ = _slots_by_count(elem_edges, edge_counts, 3)
+        old32 = slots // 6
+        e0, e1 = ends[slots[:, 0]].T
+        others = np.sort(elems[old32].reshape(-1, 12), axis=1)
+        others = others[(others != e0[:, None]) & (others != e1[:, None])].reshape(-1, 6)
+        a, b, c = others[:, 0::2].T
+        v0 = signed_volumes(coords, np.column_stack([a, b, c, e0]))
+        v1 = signed_volumes(coords, np.column_stack([a, b, c, e1]))
+        ok = (np.all(others[:, 0::2] == others[:, 1::2], axis=1) & (a < b) & (b < c)
+              & ~np.isin(_facet_keys(others[:, 0::2], n), _facet_keys(faces, n))
+              & (v0 * v1 < 0.0))
+        tets32 = np.stack([_oriented(np.column_stack([a, b, c, e0]), v0),
+                           _oriented(np.column_stack([a, b, c, e1]), v1)], axis=1)
+        old32, tets32 = old32[ok], tets32[ok]
+        scores = quality(coords, tensors, np.vstack([tets23.reshape(-1, 4),
+                                                     tets32.reshape(-1, 4)]), opts.qual_p)
+        q23 = scores[:3 * len(old23)].reshape(-1, 3)
+        q32 = scores[3 * len(old23):].reshape(-1, 2)
+        used = bytearray(len(elems))
+        take = []
+        for old, q_new in ((old23, q23), (old32, q32)):
+            better = np.nonzero(q_new.min(axis=1)
+                                > elem_q[old].min(axis=1) * (1.0 + 1e-10))[0]
+            take.append(better[_take_disjoint(old[better], used)])
+        dead = np.frombuffer(used, dtype=bool)
+        elems = np.vstack([elems[~dead], tets23[take[0]].reshape(-1, 4),
+                           tets32[take[1]].reshape(-1, 4)])
+        elem_q = np.concatenate([elem_q[~dead], q23[take[0]].ravel(),
+                                 q32[take[1]].ravel()])
+        swaps = len(take[0]) + len(take[1])
         n_swaps += swaps
         if swaps == 0:
             break
-    elements = np.array([elems[e] for e in range(len(elems)) if alive[e]],
-                        dtype=np.int64)
-    new_mesh = SimplicialMesh(3, mesh.nodes.copy(), elements,
+    new_mesh = SimplicialMesh(3, mesh.nodes.copy(), elems,
                               mesh.boundary_facets.copy(),
                               mesh.facet_segments.copy(),
                               list(mesh.boundary_node_flags), mesh.box.copy())

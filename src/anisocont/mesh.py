@@ -106,14 +106,69 @@ class SimplicialMesh:
         return self._locator
 
 
+def _edge_vectors(nodes, elements):
+    """Vectors from vertex 0 to vertices 1..d of each simplex, d arrays (m, d)."""
+    elements = np.asarray(elements, dtype=np.int64)
+    p0 = nodes[elements[:, 0]]
+    return [nodes[elements[:, k]] - p0 for k in range(1, elements.shape[1])]
+
+
+def _volume(e):
+    """Signed volumes from the edge vectors of `_edge_vectors`."""
+    if len(e) == 2:
+        return 0.5 * (e[0][:, 0] * e[1][:, 1] - e[0][:, 1] * e[1][:, 0])
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (v.T for v in e)
+    return (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
+            + az * (bx * cy - by * cx)) / 6.0
+
+
 def signed_volumes(nodes, elements):
     """Signed volumes (areas in 2D) of the given simplices, vectorized."""
-    p0 = nodes[elements[:, 0]]
-    edges = nodes[elements[:, 1:]] - p0[:, None, :]
-    d = nodes.shape[1]
-    if d == 2:
-        return 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
-    return np.linalg.det(edges) / 6.0
+    return _volume(_edge_vectors(nodes, elements))
+
+
+def quality(coords, tensors, elems, qual_p=0.0):
+    """Combined metric/Euclidean quality of the simplices `elems`, (m, d+1).
+
+    The metric quality is the Euclidean quality of the simplex mapped by the
+    square root of the vertex-averaged metric `Mbar`, in the invariant form
+    `C_d vol sqrt(det Mbar) / (sum of squared Mbar-edge lengths)^(d/2)`; it
+    is multiplied by the Euclidean quality to the power `qual_p`. Both are 1
+    for the equilateral simplex. Inverted or degenerate simplices and those
+    with `det(Mbar) <= 0` score 0. `tensors=None` is the identity metric, so
+    `quality(coords, None, elems)` is the Euclidean quality.
+    """
+    d = coords.shape[1]
+    elems = np.asarray(elems, dtype=np.int64).reshape(-1, d + 1)
+    e = _edge_vectors(coords, elems)
+    vol = _volume(e)
+    # every edge, in the order (0,1), (0,2), .., (1,2), ..; then per pair of
+    # components a <= b the sum of v_a * v_b over the edges, edge by edge
+    edges = e + [e[j] - e[i] for i in range(d) for j in range(i + 1, d)]
+    comps = [[v[:, a] for v in edges] for a in range(d)]
+    S = {(a, b): sum(x * y for x, y in zip(comps[a], comps[b]))
+         for a in range(d) for b in range(a, d)}
+    ssq_e = sum(S[a, a] for a in range(d))
+    if tensors is None:
+        det, ssq_m = 1.0, ssq_e
+    else:
+        Msum = tensors[elems[:, 0]]
+        for k in range(1, d + 1):
+            Msum = Msum + tensors[elems[:, k]]
+        M = Msum / (d + 1)
+        if d == 2:
+            det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 0, 1]
+        else:
+            m00, m01, m02, m11, m12, m22 = (M[:, a, b] for a, b in S)
+            det = (m00 * (m11 * m22 - m12 * m12) - m01 * (m01 * m22 - m12 * m02)
+                   + m02 * (m01 * m12 - m11 * m02))
+        ssq_m = sum((1.0 if a == b else 2.0) * M[:, a, b] * S[a, b] for a, b in S)
+    norm = _QUALITY_NORM[d]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = norm * vol * np.sqrt(det) / ssq_m ** (d / 2)
+        if qual_p != 0.0:
+            q = q * (norm * vol / ssq_e ** (d / 2)) ** qual_p
+    return np.where((vol > 0.0) & (det > 0.0), q, 0.0)
 
 
 def unique_edges(elements):
@@ -167,6 +222,16 @@ def facet_topology(elements, n_nodes):
                                           return_index=True, return_inverse=True,
                                           return_counts=True)
     return raw[first], inverse.reshape(ne, nv), counts
+
+
+def _slots_by_count(ids, counts, k):
+    """Positions in the flat id array `ids` of every id that occurs exactly
+    `k` times (`counts[id]` occurrences), as rows (m, k) of ascending
+    positions in ascending id order; also those ids."""
+    slots = np.argsort(ids, kind="stable")
+    which = np.nonzero(counts == k)[0]
+    start = (np.cumsum(counts) - counts)[which]
+    return slots[start[:, None] + np.arange(k)], which
 
 
 def _node_flags(n_nodes, facets, segs):
@@ -344,38 +409,6 @@ def validate(mesh, boundary_tol=1e-9):
     return rep
 
 
-def simplex_quality(coords):
-    """Scale-invariant quality of one simplex given its (d+1, d) vertex coords.
-
-    1 for the equilateral simplex, 0 for degenerate or inverted ones.
-    """
-    coords = np.asarray(coords, dtype=float)
-    d = coords.shape[1]
-    p0 = coords[0]
-    edges = coords[1:] - p0
-    if d == 2:
-        vol = 0.5 * (edges[0, 0] * edges[1, 1] - edges[0, 1] * edges[1, 0])
-    else:
-        vol = np.linalg.det(edges) / 6.0
-    if vol <= 0.0:
-        return 0.0
-    ssq = 0.0
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            diff = coords[i] - coords[j]
-            ssq += float(diff @ diff)
-    return float(_QUALITY_NORM[d] * vol / ssq ** (d / 2.0))
-
-
-def element_quality_euclidean(mesh, elem):
-    """Quality of mesh element `elem` (index or node tuple) in Euclidean space."""
-    if np.isscalar(elem):
-        ids = mesh.elements[int(elem)]
-    else:
-        ids = np.asarray(elem, dtype=np.int64)
-    return simplex_quality(mesh.nodes[ids])
-
-
 class _Locator:
     """Point location by element walking with KD-tree seeding."""
 
@@ -391,10 +424,7 @@ class _Locator:
         # neighbors[e, i]: the element across the facet opposite vertex i, or
         # -1 unless exactly two elements share that facet
         _, elem_facets, counts = facet_topology(elements, len(nodes))
-        slots = np.argsort(elem_facets.ravel(), kind="stable")
-        start = np.cumsum(counts) - counts
-        pair = start[counts == 2]
-        s1, s2 = slots[pair], slots[pair + 1]
+        s1, s2 = _slots_by_count(elem_facets.ravel(), counts, 2)[0].T
         neighbors = -np.ones(elem_facets.size, dtype=np.int64)
         neighbors[s1] = s2 // (d + 1)
         neighbors[s2] = s1 // (d + 1)
@@ -489,34 +519,39 @@ def interpolate(old_mesh, u_old, new_mesh, return_stats=False):
     if old_mesh.dim != new_mesh.dim or not np.allclose(old_mesh.box, new_mesh.box,
                                                        rtol=1e-9, atol=1e-12):
         raise ValueError("meshes must cover the same box")
-    loc = old_mesh.locator()
     pts = new_mesh.nodes
-    n = len(pts)
-    u_new = np.empty(n)
-    n_extrap = 0
-
-    # fast path: nearest-centroid element contains the point
-    seeds = loc.tree.query(pts)[1]
-    lam = loc.bary_many(seeds, pts)
-    ok = lam.min(axis=1) >= -1e-12
-    for i in np.nonzero(ok)[0]:
-        u_new[i] = _p1_value(old_mesh, u_old, int(seeds[i]), lam[i], pts[i])
-    for i in np.nonzero(~ok)[0]:
-        e, lam_i, inside = loc.locate(pts[i])
-        if not inside:
-            n_extrap += 1
-        u_new[i] = _p1_value(old_mesh, u_old, e, lam_i, pts[i])
+    ids, lam, n_extrap = _p1_weights(old_mesh, pts)
+    u_new = (lam * u_old[ids]).sum(axis=1)
     if n_extrap:
         logger.warning("interpolate: %d of %d points fell outside the source mesh",
-                       n_extrap, n)
+                       n_extrap, len(pts))
     if return_stats:
         return u_new, n_extrap
     return u_new
 
 
-def _p1_value(mesh, u, e, lam, x):
-    ids = mesh.elements[e]
-    j = int(np.argmax(lam))
-    if lam[j] >= 1.0 - 1e-12 and np.array_equal(mesh.nodes[ids[j]], x):
-        return float(u[ids[j]])  # coincident node: reproduce exactly
-    return float(lam @ u[ids])
+def _p1_weights(mesh, pts):
+    """P1 evaluation weights of `mesh` at the points `pts`, batched.
+
+    Returns the node ids (k, d+1) of the element holding each point, its
+    barycentric weights (k, d+1) and the number of points outside the mesh
+    beyond round-off, whose weights extrapolate from the least-bad element.
+    A point on a mesh node gets that node's unit weight, so it reproduces
+    nodal values exactly. The nearest-centroid element is tried for all
+    points in one batch; only the misses walk the mesh.
+    """
+    loc = mesh.locator()
+    elems = loc.tree.query(pts)[1]
+    lam = loc.bary_many(elems, pts)
+    n_extrap = 0
+    for i in np.nonzero(~(lam.min(axis=1) >= -1e-12))[0]:
+        elems[i], lam[i], inside = loc.locate(pts[i])
+        n_extrap += not inside
+    ids = mesh.elements[elems]
+    rows = np.arange(len(pts))
+    j = lam.argmax(axis=1)
+    exact = (lam[rows, j] >= 1.0 - 1e-12) & np.all(mesh.nodes[ids[rows, j]] == pts,
+                                                   axis=1)
+    lam[exact] = 0.0
+    lam[exact, j[exact]] = 1.0
+    return ids, lam, n_extrap

@@ -156,14 +156,6 @@ def compute_metric(hessians, eta, ppar, dim=None, h_max=None):
     return MetricField(tensors)
 
 
-def edge_length_metric(mesh, psi, edge):
-    """Length of one mesh edge under the endpoint-averaged metric."""
-    a, b = int(edge[0]), int(edge[1])
-    v = mesh.nodes[b] - mesh.nodes[a]
-    Mbar = 0.5 * (psi.tensors[a] + psi.tensors[b])
-    return float(np.sqrt(max(v @ Mbar @ v, 0.0)))
-
-
 def edge_lengths(nodes, tensors, edges):
     """Vectorized metric lengths of (m, 2) node-id pairs."""
     a, b = edges[:, 0], edges[:, 1]

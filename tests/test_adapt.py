@@ -72,19 +72,26 @@ class TestOptions:
             ac.CoarsenOptions(npb=-1)
 
 
+def simplex_quality(pts, mats, qual_p):
+    """Combined quality of one simplex from its vertex coords and metrics."""
+    pts = np.asarray(pts, dtype=float)
+    return float(ac.quality(pts, np.asarray(mats, dtype=float),
+                            np.arange(len(pts))[None], qual_p)[0])
+
+
 class TestCombinedQuality:
     def test_identity_metric_reduces_to_euclidean_power(self, square_mesh):
-        psi = uniform_metric(square_mesh, np.eye(2))
+        m = square_mesh
+        psi = uniform_metric(m, np.eye(2))
+        qe = ac.quality(m.nodes, None, m.elements)
         for qual_p in (0.0, 1.0, 2.0):
-            q = ac.combined_quality(square_mesh, psi, 0, qual_p)
-            qe = ac.element_quality_euclidean(square_mesh, 0)
+            q = ac.quality(m.nodes, psi.tensors, m.elements, qual_p)
             assert q == pytest.approx(qe ** (1 + qual_p), rel=1e-12)
 
     def test_equilateral_identity_metric(self):
         tri = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
         mats = np.tile(np.eye(2), (3, 1, 1))
-        assert adapt.combined_quality_coords(tri, mats, 2.0) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert simplex_quality(tri, mats, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_anisotropic_equilateral_under_metric(self):
         # map the equilateral triangle through diag(1/2, 1): it becomes
@@ -92,13 +99,12 @@ class TestCombinedQuality:
         tri = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
         squeezed = tri @ np.diag([0.5, 1.0])
         mats = np.tile(np.diag([4.0, 1.0]), (3, 1, 1))
-        assert adapt.combined_quality_coords(squeezed, mats, 0.0) == \
-            pytest.approx(1.0, abs=1e-10)
+        assert simplex_quality(squeezed, mats, 0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_is_zero(self):
         tri = np.array([[0, 0], [1, 0], [2, 0]])
         mats = np.tile(np.eye(2), (3, 1, 1))
-        assert adapt.combined_quality_coords(tri, mats, 0.0) == 0.0
+        assert simplex_quality(tri, mats, 0.0) == 0.0
 
 
 class TestCoarsenPass:
@@ -222,6 +228,82 @@ class TestMovePass:
         assert rep.boundary_defects == 0
 
 
+def perturbed(mesh, amplitude, seed):
+    """`mesh` with its interior nodes moved at random."""
+    rng = np.random.default_rng(seed)
+    nodes = mesh.nodes.copy()
+    interior = [i for i in range(mesh.num_nodes) if not mesh.boundary_node_flags[i]]
+    nodes[interior] += rng.uniform(-amplitude, amplitude, (len(interior), mesh.dim))
+    return ac.SimplicialMesh(mesh.dim, nodes, mesh.elements, mesh.boundary_facets,
+                             mesh.facet_segments, mesh.boundary_node_flags, mesh.box)
+
+
+def graded_metric(mesh):
+    """A smooth anisotropic metric that varies across the mesh."""
+    x = mesh.nodes[:, 0]
+    diag = np.ones((mesh.num_nodes, mesh.dim))
+    diag[:, 0] = 1.0 + 4.0 * x ** 2
+    diag[:, -1] = 3.0
+    return MetricField(np.einsum("ni,ij->nij", diag, np.eye(mesh.dim)))
+
+
+@pytest.fixture(params=[2, 3])
+def moved_case(request):
+    if request.param == 2:
+        m = perturbed(ac.build_rect_mesh(1, 1, 9, 9), 0.06, seed=5)
+    else:
+        m = perturbed(ac.build_box_mesh(1, 1, 1, 4, 4, 4), 0.08, seed=6)
+    psi = graded_metric(m)
+    u = 1.5 * m.nodes[:, 0] - 0.5 * m.nodes[:, -1] + 0.25
+    opts = ac.AdaptOptions.for_dim(m.dim)
+    return m, u, psi, opts, adapt.move_pass(m, u, psi, opts)
+
+
+class TestBatchedMovePass:
+    def test_moves_without_lowering_min_quality(self, moved_case):
+        m, _, psi, opts, (m2, _, _, n) = moved_case
+        assert n > 0
+        assert ac.validate(m2).inverted_elements == 0
+        q_before = ac.quality(m.nodes, psi.tensors, m.elements, opts.qual_p)
+        q_after = ac.quality(m2.nodes, psi.tensors, m2.elements, opts.qual_p)
+        assert q_after.min() >= q_before.min() - 1e-12
+
+    def test_boundary_nodes_keep_their_face(self, moved_case):
+        m, _, _, _, (m2, _, _, _) = moved_case
+        assert ac.validate(m2).boundary_defects == 0
+        smap = m.segment_map
+        slid = 0
+        for i, flags in enumerate(m.boundary_node_flags):
+            if len(flags) >= 2:
+                assert np.array_equal(m2.nodes[i], m.nodes[i])
+            elif flags:
+                axis, value = smap.plane(next(iter(flags)))
+                assert m2.nodes[i, axis] == value
+                slid += not np.array_equal(m2.nodes[i], m.nodes[i])
+        assert slid > 0
+
+    def test_moved_nodes_are_reinterpolated(self, moved_case):
+        m, u, psi, _, (m2, u2, psi2, _) = moved_case
+        # u is affine, so its P1 interpolant reproduces it at the new positions
+        affine = 1.5 * m2.nodes[:, 0] - 0.5 * m2.nodes[:, -1] + 0.25
+        assert np.abs(u2 - affine).max() < 1e-12
+        same = np.all(m2.nodes == m.nodes, axis=1)
+        assert np.array_equal(u2[same], u[same])
+        assert np.array_equal(psi2.tensors[same], psi.tensors[same])
+        # the tensors use the same P1 weights as the field
+        for k in range(m.dim):
+            expect = ac.interpolate(m, psi.tensors[:, k, k], m2)
+            assert np.abs(psi2.tensors[:, k, k] - expect).max() < 1e-12
+
+    def test_deterministic(self, moved_case):
+        m, u, psi, opts, (m2, u2, psi2, n) = moved_case
+        m3, u3, psi3, n3 = adapt.move_pass(m, u, psi, opts)
+        assert n3 == n
+        assert np.array_equal(m3.nodes, m2.nodes)
+        assert np.array_equal(u3, u2)
+        assert np.array_equal(psi3.tensors, psi2.tensors)
+
+
 class TestSwapPass:
     def kite(self):
         # two triangles on the long diagonal of a kite
@@ -237,12 +319,10 @@ class TestSwapPass:
     def test_flip_improves_kite(self):
         m = self.kite()
         psi = uniform_metric(m, np.eye(2))
-        q_before = min(ac.element_quality_euclidean(m, e)
-                       for e in range(m.num_elements))
+        q_before = ac.quality(m.nodes, None, m.elements).min()
         m2, _, _, n = adapt.swap_pass(m, np.zeros(4), psi, opts2d())
         assert n == 1
-        q_after = min(ac.element_quality_euclidean(m2, e)
-                      for e in range(m2.num_elements))
+        q_after = ac.quality(m2.nodes, None, m2.elements).min()
         assert q_after > q_before
         keys = {tuple(sorted(e)) for e in m2.elements}
         assert keys == {(0, 1, 3), (1, 2, 3)}
@@ -282,6 +362,21 @@ class TestSwapPass:
         m2, _, _, n = adapt.swap_pass(pert, np.zeros(m.num_nodes), psi,
                                       ac.AdaptOptions.for_dim(3))
         assert ac.validate(m2).total_defects == 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_swaps_never_lower_min_quality(self, dim):
+        if dim == 2:
+            m = perturbed(ac.build_rect_mesh(1, 1, 9, 9), 0.1, seed=8)
+        else:
+            m = perturbed(ac.build_box_mesh(1, 1, 1, 5, 5, 5), 0.15, seed=9)
+        psi = graded_metric(m)
+        opts = ac.AdaptOptions.for_dim(dim)
+        m2, _, _, n = adapt.swap_pass(m, np.zeros(m.num_nodes), psi, opts)
+        assert n > 0
+        assert ac.validate(m2).total_defects == 0
+        q_before = ac.quality(m.nodes, psi.tensors, m.elements, opts.qual_p)
+        q_after = ac.quality(m2.nodes, psi.tensors, m2.elements, opts.qual_p)
+        assert q_after.min() >= q_before.min()
 
 
 class TestTradapt:

@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisocont as ac
-from anisocont.mesh import (_derive_boundary, _Locator, facet_topology,
-                            segment_table, signed_volumes, simplex_quality,
-                            unique_edges)
+from anisocont.mesh import (_derive_boundary, _Locator, facet_topology, quality,
+                            segment_table, signed_volumes, unique_edges)
 
 
 class TestRectMesh:
@@ -160,6 +161,61 @@ class TestInterpolate:
         assert np.abs(out - f(pts)).max() < 1e-10
 
 
+def simplex_quality(coords):
+    """Euclidean quality of one simplex from its (d+1, d) vertex coords."""
+    coords = np.asarray(coords, dtype=float)
+    return float(quality(coords, None, np.arange(len(coords))[None])[0])
+
+
+def _oracle_interpolate(old_mesh, u_old, pts):
+    """The per-point P1 loop the batched evaluation replaced."""
+    loc = old_mesh.locator()
+    seeds = loc.tree.query(pts)[1]
+    lam = loc.bary_many(seeds, pts)
+    out, n_extrap = np.empty(len(pts)), 0
+    for i in range(len(pts)):
+        e, lam_i = int(seeds[i]), lam[i]
+        if not lam_i.min() >= -1e-12:
+            e, lam_i, inside = loc.locate(pts[i])
+            n_extrap += not inside
+        ids = old_mesh.elements[e]
+        j = int(np.argmax(lam_i))
+        if lam_i[j] >= 1.0 - 1e-12 and np.array_equal(old_mesh.nodes[ids[j]], pts[i]):
+            out[i] = u_old[ids[j]]
+        else:
+            out[i] = float(lam_i @ u_old[ids])
+    return out, n_extrap
+
+
+class TestBatchedInterpolation:
+    @pytest.mark.parametrize("case", ["rect", "box", "adapted"])
+    def test_matches_per_point_loop(self, case):
+        old = KERNEL_MESHES[case]()
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(old.box[:, 0], old.box[:, 1], (400, old.dim))
+        pts = np.vstack([pts, old.nodes[::7], old.box[:, 1] + 0.05])
+        probe = ac.SimplicialMesh(old.dim, pts, np.zeros((0, old.dim + 1), dtype=int),
+                                  np.zeros((0, old.dim), dtype=int),
+                                  np.zeros(0, dtype=int), [frozenset()] * len(pts),
+                                  old.box)
+        u = np.sin(3 * old.nodes[:, 0]) + old.nodes[:, -1] ** 2
+        got, n_extrap = ac.interpolate(old, u, probe, return_stats=True)
+        ref, n_ref = _oracle_interpolate(old, u, pts)
+        assert n_extrap == n_ref == 1
+        on_node = slice(400, 400 + len(old.nodes[::7]))
+        assert np.array_equal(got[on_node], u[::7])
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(u).max()
+
+    def test_outside_point_warns(self, square_mesh, caplog):
+        pts = np.array([[0.0, 0.0], [0.9, 1.2]])
+        probe = ac.SimplicialMesh(2, pts, np.zeros((0, 3), dtype=int),
+                                  np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int),
+                                  [frozenset()] * 2, square_mesh.box)
+        with caplog.at_level("WARNING", logger="anisocont.mesh"):
+            ac.interpolate(square_mesh, square_mesh.nodes[:, 0], probe)
+        assert "1 of 2 points fell outside" in caplog.text
+
+
 class TestQuality:
     def test_equilateral_is_one(self):
         tri = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
@@ -178,6 +234,13 @@ class TestQuality:
         tri = np.array([[0, 0], [1, 0], [2, 0]])
         assert simplex_quality(tri) == 0.0
 
+    def test_inverted_is_zero(self):
+        tri = np.array([[0, 0], [0.5, np.sqrt(3) / 2], [1, 0]])
+        tet = np.array([[0, 0, 0], [0.5, np.sqrt(3) / 2, 0], [1, 0, 0],
+                        [0.5, np.sqrt(3) / 6, np.sqrt(6) / 3]])
+        assert simplex_quality(tri) == 0.0
+        assert simplex_quality(tet) == 0.0
+
     def test_regular_tet_is_one(self):
         tet = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0],
                         [0.5, np.sqrt(3) / 6, np.sqrt(6) / 3]])
@@ -194,9 +257,15 @@ class TestQuality:
         moved = scale * tri @ R.T + np.array([tx, ty])
         assert simplex_quality(moved) == pytest.approx(q0, rel=1e-10)
 
-    def test_element_quality_euclidean_wrapper(self, square_mesh):
-        q = ac.element_quality_euclidean(square_mesh, 0)
+    def test_mesh_element_rows(self, square_mesh):
+        q = quality(square_mesh.nodes, None, square_mesh.elements)
+        assert q.shape == (square_mesh.num_elements,)
         assert q == pytest.approx(np.sqrt(3) / 2, rel=1e-12)
+
+    def test_zero_determinant_metric_is_zero(self):
+        tri = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
+        singular = np.tile(np.diag([1.0, 0.0]), (3, 1, 1))
+        assert quality(tri, singular, [[0, 1, 2]], 2.0).tolist() == [0.0]
 
 
 def test_unique_edges_counts():
@@ -386,3 +455,138 @@ class TestFacetTopology:
         nodes[1, 1] += 0.25         # bottom edge midpoint leaves the bottom face
         with pytest.raises(ValueError, match="not on a unique box face"):
             _derive_boundary(2, nodes, m.elements, m.box)
+
+
+# The scalar quality functions the batched kernel replaced: the reference it
+# is checked against.
+
+def _oracle_quality2(coords, tensors, i, j, k, qual_p):
+    x0 = coords[i, 0]
+    y0 = coords[i, 1]
+    e1x = coords[j, 0] - x0
+    e1y = coords[j, 1] - y0
+    e2x = coords[k, 0] - x0
+    e2y = coords[k, 1] - y0
+    vol = 0.5 * (e1x * e2y - e1y * e2x)
+    if vol <= 0.0:
+        return 0.0
+    m00 = (tensors[i, 0, 0] + tensors[j, 0, 0] + tensors[k, 0, 0]) / 3.0
+    m01 = (tensors[i, 0, 1] + tensors[j, 0, 1] + tensors[k, 0, 1]) / 3.0
+    m11 = (tensors[i, 1, 1] + tensors[j, 1, 1] + tensors[k, 1, 1]) / 3.0
+    det = m00 * m11 - m01 * m01
+    if det <= 0.0:
+        return 0.0
+    e3x = e2x - e1x
+    e3y = e2y - e1y
+    ssq_m = (m00 * (e1x * e1x + e2x * e2x + e3x * e3x)
+             + 2.0 * m01 * (e1x * e1y + e2x * e2y + e3x * e3y)
+             + m11 * (e1y * e1y + e2y * e2y + e3y * e3y))
+    norm = 4.0 * np.sqrt(3.0)
+    q_m = norm * vol * math.sqrt(det) / ssq_m
+    if qual_p == 0.0:
+        return q_m
+    ssq_e = e1x * e1x + e1y * e1y + e2x * e2x + e2y * e2y + e3x * e3x + e3y * e3y
+    q_e = norm * vol / ssq_e
+    return q_m * q_e ** qual_p
+
+
+def _oracle_tet_volume(coords, i, j, k, l):
+    x0, y0, z0 = coords[i].tolist()
+    ax, ay, az = (v - w for v, w in zip(coords[j].tolist(), (x0, y0, z0)))
+    bx, by, bz = (v - w for v, w in zip(coords[k].tolist(), (x0, y0, z0)))
+    cx, cy, cz = (v - w for v, w in zip(coords[l].tolist(), (x0, y0, z0)))
+    return (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
+            + az * (bx * cy - by * cx)) / 6.0
+
+
+def _oracle_quality3(coords, tensors, i, j, k, l, qual_p):
+    vol = _oracle_tet_volume(coords, i, j, k, l)
+    if vol <= 0.0:
+        return 0.0
+    p0 = coords[i].tolist()
+    ax, ay, az = (v - w for v, w in zip(coords[j].tolist(), p0))
+    bx, by, bz = (v - w for v, w in zip(coords[k].tolist(), p0))
+    cx, cy, cz = (v - w for v, w in zip(coords[l].tolist(), p0))
+    m00, m01, m02, m11, m12, m22 = (
+        (tensors[i, a, b] + tensors[j, a, b] + tensors[k, a, b] + tensors[l, a, b]) / 4.0
+        for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    det = (m00 * (m11 * m22 - m12 * m12) - m01 * (m01 * m22 - m12 * m02)
+           + m02 * (m01 * m12 - m11 * m02))
+    if det <= 0.0:
+        return 0.0
+    ssq_m = 0.0
+    ssq_e = 0.0
+    for (vx, vy, vz) in ((ax, ay, az), (bx, by, bz), (cx, cy, cz),
+                         (bx - ax, by - ay, bz - az),
+                         (cx - ax, cy - ay, cz - az),
+                         (cx - bx, cy - by, cz - bz)):
+        ssq_e += vx * vx + vy * vy + vz * vz
+        ssq_m += (m00 * vx * vx + m11 * vy * vy + m22 * vz * vz
+                  + 2.0 * (m01 * vx * vy + m02 * vx * vz + m12 * vy * vz))
+    norm = 72.0 * np.sqrt(3.0)
+    q_m = norm * vol * math.sqrt(det) / ssq_m ** 1.5
+    if qual_p == 0.0:
+        return q_m
+    q_e = norm * vol / ssq_e ** 1.5
+    return q_m * q_e ** qual_p
+
+
+def _oracle_qualities(mesh, tensors, qual_p):
+    scalar = _oracle_quality2 if mesh.dim == 2 else _oracle_quality3
+    return np.array([scalar(mesh.nodes, tensors, *e, qual_p)
+                     for e in mesh.elements.tolist()])
+
+
+def _random_spd(n, d, seed):
+    A = np.random.default_rng(seed).normal(size=(n, d, d))
+    T = A @ np.transpose(A, (0, 2, 1)) + 0.1 * np.eye(d)
+    return 0.5 * (T + np.transpose(T, (0, 2, 1)))
+
+
+@pytest.fixture(scope="module", params=["rect", "box", "adapted"])
+def quality_mesh(request):
+    return KERNEL_MESHES[request.param]()
+
+
+class TestQualityKernel:
+    @pytest.mark.parametrize("qual_p", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("metric", ["random", "identity"])
+    def test_matches_scalar_oracle(self, quality_mesh, qual_p, metric):
+        m = quality_mesh
+        if metric == "random":
+            T = _random_spd(m.num_nodes, m.dim, seed=7)
+            got = quality(m.nodes, T, m.elements, qual_p)
+        else:
+            T = np.tile(np.eye(m.dim), (m.num_nodes, 1, 1))
+            got = quality(m.nodes, None, m.elements, qual_p)
+        ref = _oracle_qualities(m, T, qual_p)
+        assert np.all(ref > 0)
+        if m.dim == 2 and qual_p == 0.0:
+            # same operations in the same order as the scalar code
+            assert np.array_equal(got, ref)
+        else:
+            # the 3D edge sums are grouped differently, and numpy's vectorized
+            # pow may round ssq ** 1.5 and q ** p differently from Python's
+            assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    def test_inverted_elements_score_zero(self, quality_mesh):
+        m = quality_mesh
+        T = _random_spd(m.num_nodes, m.dim, seed=3)
+        bad = np.arange(0, m.num_elements, 5)
+        elems = m.elements.copy()
+        elems[bad] = elems[bad][:, [1, 0] + list(range(2, m.dim + 1))]
+        got = quality(m.nodes, T, elems, 2.0)
+        assert np.all(got[bad] == 0.0)
+        keep = np.ones(m.num_elements, dtype=bool)
+        keep[bad] = False
+        assert np.array_equal(got[keep], quality(m.nodes, T, m.elements[keep], 2.0))
+
+    def test_volumes_are_the_scalar_cofactor_expression(self):
+        m = KERNEL_MESHES["box"]()
+        nodes = m.nodes + np.random.default_rng(4).uniform(-0.05, 0.05, m.nodes.shape)
+        ref = [_oracle_tet_volume(nodes, *e) for e in m.elements.tolist()]
+        assert signed_volumes(nodes, m.elements).tolist() == ref
+
+    def test_empty_batch(self):
+        m = ac.build_rect_mesh(1, 1, 3, 3)
+        assert quality(m.nodes, None, np.zeros((0, 3), dtype=int)).shape == (0,)

@@ -179,7 +179,7 @@ class TestEdgeLength:
     def test_identity_metric_is_euclidean(self, square_mesh):
         psi = metric.MetricField(np.tile(np.eye(2), (square_mesh.num_nodes, 1, 1)))
         for edge in square_mesh.edges()[:10]:
-            L = ac.edge_length_metric(square_mesh, psi, edge)
+            L, = metric.edge_lengths(square_mesh.nodes, psi.tensors, edge[None])
             assert L == pytest.approx(
                 np.linalg.norm(square_mesh.nodes[edge[1]]
                                - square_mesh.nodes[edge[0]]), rel=1e-12)
@@ -189,7 +189,8 @@ class TestEdgeLength:
         psi = metric.MetricField(np.tile(np.diag([4.0, 1.0]), (4, 1, 1)))
         horizontal = next(e for e in m.edges()
                           if m.nodes[e[0], 1] == m.nodes[e[1], 1])
-        assert ac.edge_length_metric(m, psi, horizontal) == pytest.approx(2.0)
+        assert metric.edge_lengths(m.nodes, psi.tensors, horizontal[None]) == \
+            pytest.approx([2.0])
 
     def test_endpoint_average(self):
         m = ac.build_rect_mesh(0.5, 0.5, 2, 2)
@@ -198,8 +199,8 @@ class TestEdgeLength:
                           if m.nodes[e[0], 1] == m.nodes[e[1], 1])
         tensors[horizontal[1]] = np.diag([9.0, 9.0])
         psi = metric.MetricField(tensors)
-        assert ac.edge_length_metric(m, psi, horizontal) == \
-            pytest.approx(np.sqrt(5.0))
+        assert metric.edge_lengths(m.nodes, psi.tensors, horizontal[None]) == \
+            pytest.approx([np.sqrt(5.0)])
 
 
 class TestSelectField:
