@@ -6,7 +6,7 @@ from .mesh import (SegmentMap, SimplicialMesh, ValidationReport,
 from .meshio import (read_field_text, read_mesh_text, write_field_text,
                      write_mesh_text, write_vtk)
 from .fem import (BoundaryCondition, ProblemDef, assemble_mass,
-                  assemble_stiffness, dirichlet, eval_boundary_profile,
+                  assemble_stiffness, dirichlet,
                   jacobian, l2_norm, neumann, residual)
 from .metric import (EtaPolicy, MetricField, compute_metric, eval_eta,
                      recover_hessian, select_field)

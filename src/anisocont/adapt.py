@@ -4,7 +4,9 @@ The passes are selected by the 4-bit `sw` mask (bit 1 move, bit 2 refine,
 bit 4 coarsen, bit 8 swap) and chained by `tradapt`, which recomputes the
 metric between inner iterations and stops once the longest metric edge drops
 below the upper threshold. `two_step_adapt` optionally coarsens to a node
-budget first and then adapts with refinement enabled.
+budget first and then adapts with refinement enabled. Refine, move and swap
+work on whole arrays; coarsen tries one collapse at a time on `_Editor`'s
+dict maps, since each collapse decides which edges the next ones see.
 """
 from __future__ import annotations
 
@@ -161,26 +163,22 @@ def max_metric_edge_length(mesh, psi):
 
 
 class _Editor:
-    """Mutable topology scratchpad for coarsen/refine passes."""
+    """Mutable topology scratchpad for the collapses of one coarsen pass.
 
-    def __init__(self, mesh, u, psi):
+    A collapse only removes nodes and elements, so the node arrays keep the
+    input mesh's size and removed nodes are masked out by `alive`.
+    """
+
+    def __init__(self, mesh, u, psi, qual_p):
         n = mesh.num_nodes
-        self.dim = mesh.dim
-        self.box = mesh.box
-        cap = max(16, 2 * n)
-        self.coords = np.empty((cap, self.dim))
-        self.coords[:n] = mesh.nodes
-        self.u = np.empty(cap)
-        self.u[:n] = u
-        self.tensors = np.empty((cap, self.dim, self.dim))
-        self.tensors[:n] = psi.tensors
-        self.alive = np.zeros(cap, dtype=bool)
-        self.alive[:n] = True
-        self.n_nodes = n
+        self.mesh, self.qual_p = mesh, qual_p
+        self.coords = mesh.nodes
+        self.u = np.asarray(u, dtype=float)
+        self.tensors = psi.tensors
+        self.alive = np.ones(n, dtype=bool)
         self.n_alive_nodes = n
-        self.flags = [set(f) for f in mesh.boundary_node_flags]
+        self.flags = mesh.boundary_node_flags
         self.elems = [tuple(int(v) for v in e) for e in mesh.elements]
-        self.n_alive_elems = len(self.elems)
         self.elem_key = {}
         self.node2el = [set() for _ in range(n)]
         for e, nodes in enumerate(self.elems):
@@ -194,59 +192,11 @@ class _Editor:
             self.facets[key] = int(seg)
             for v in key:
                 self.node2facets[v].add(key)
-        # per-element combined quality, filled in batches by try_collapse;
-        # coords/tensors of existing nodes never change inside one pass, so
-        # entries only need invalidation when an element is killed or rewired
-        self._qcache = {}
+        # combined quality per element; coords and tensors never change in a
+        # pass, so an entry changes only when a collapse rewires its element
+        self.elem_q = quality(mesh.nodes, psi.tensors, mesh.elements, qual_p).tolist()
 
-    def _grow(self):
-        cap = 2 * len(self.u)
-        for name in ("coords", "u", "tensors", "alive"):
-            arr = getattr(self, name)
-            new = np.zeros((cap,) + arr.shape[1:], dtype=arr.dtype)
-            new[: len(arr)] = arr
-            setattr(self, name, new)
-
-    def add_node(self, pos, uval, tensor, flags):
-        i = self.n_nodes
-        if i == len(self.u):
-            self._grow()
-        self.coords[i] = pos
-        self.u[i] = uval
-        self.tensors[i] = tensor
-        self.alive[i] = True
-        self.flags.append(set(flags))
-        self.node2el.append(set())
-        self.node2facets.append(set())
-        self.n_nodes += 1
-        self.n_alive_nodes += 1
-        return i
-
-    def add_elem(self, nodes):
-        key = tuple(sorted(nodes))
-        e = len(self.elems)
-        self.elems.append(tuple(nodes))
-        self.elem_key[key] = e
-        for v in nodes:
-            self.node2el[v].add(e)
-        self.n_alive_elems += 1
-        return e
-
-    def kill_elem(self, e):
-        nodes = self.elems[e]
-        del self.elem_key[tuple(sorted(nodes))]
-        for v in nodes:
-            self.node2el[v].discard(e)
-        self.elems[e] = None
-        self.n_alive_elems -= 1
-        self._qcache.pop(e, None)
-
-    def edge_exists(self, a, b):
-        return bool(self.node2el[a] & self.node2el[b])
-
-    # -- coarsening -------------------------------------------------------
-
-    def try_collapse(self, a, b, qual_p):
+    def try_collapse(self, a, b):
         """Collapse edge (a, b) into one endpoint if all guards pass."""
         fa, fb = self.flags[a], self.flags[b]
         directions = []
@@ -260,17 +210,13 @@ class _Editor:
                  if plan is not None]
         if not plans:
             return False
-        # one quality call scores the rewired elements of every plan and the
-        # touched elements not cached yet
+        # one quality call scores the rewired elements of every plan
+        rows = [nodes for plan in plans for _, nodes, _ in plan[3]]
+        q = quality(self.coords, self.tensors, rows, self.qual_p).tolist()
         touched = self.node2el[a] | self.node2el[b]
-        missing = [e for e in touched if e not in self._qcache]
-        rows = [self.elems[e] for e in missing]
-        rows += [nodes for plan in plans for _, nodes, _ in plan[3]]
-        q = quality(self.coords, self.tensors, rows, qual_p).tolist()
-        self._qcache.update(zip(missing, q))
-        thresh = _QUALITY_FLOOR_FACTOR * min(self._qcache[e] for e in touched)
+        thresh = _QUALITY_FLOOR_FACTOR * min(self.elem_q[e] for e in touched)
         best = None
-        k = len(missing)
+        k = 0
         for plan in plans:
             q_plan = q[k:k + len(plan[3])]
             k += len(q_plan)
@@ -299,12 +245,9 @@ class _Editor:
             plan_keys.add(key)
             new_elems.append((e, nodes, key))
         # no vertex of a dying element may lose its last element
-        for e in dying:
-            for v in self.elems[e]:
-                if v == r:
-                    continue
-                if not (self.node2el[v] - dying):
-                    return None
+        if any(not self.node2el[v] - dying
+               for e in dying for v in self.elems[e] if v != r):
+            return None
         dead_facets = []
         remapped = []
         new_fkeys = set()
@@ -321,15 +264,18 @@ class _Editor:
 
     def _commit_collapse(self, plan, q_new):
         s, r, dying, new_elems, dead_facets, remapped = plan
-        for e in sorted(dying):
-            self.kill_elem(e)
+        for e in dying:
+            del self.elem_key[tuple(sorted(self.elems[e]))]
+            for v in self.elems[e]:
+                self.node2el[v].discard(e)
+            self.elems[e] = None
         for (e, nodes, key), q in zip(new_elems, q_new):
             del self.elem_key[tuple(sorted(self.elems[e]))]
             self.elems[e] = nodes
             self.elem_key[key] = e
             self.node2el[r].discard(e)
             self.node2el[s].add(e)
-            self._qcache[e] = q
+            self.elem_q[e] = q
         for key in dead_facets:
             del self.facets[key]
             for v in key:
@@ -346,53 +292,20 @@ class _Editor:
         self.node2facets[r] = set()
         self.n_alive_nodes -= 1
 
-    # -- refinement -------------------------------------------------------
-
-    def split_edge(self, a, b):
-        """Bisect edge (a, b) at its midpoint, splitting every element on it."""
-        bkeys = sorted(self.node2facets[a] & self.node2facets[b])
-        segs = {self.facets[k] for k in bkeys}
-        m = self.add_node(0.5 * (self.coords[a] + self.coords[b]),
-                          0.5 * (self.u[a] + self.u[b]),
-                          0.5 * (self.tensors[a] + self.tensors[b]),
-                          segs)
-        for e in sorted(self.node2el[a] & self.node2el[b]):
-            nodes = self.elems[e]
-            self.kill_elem(e)
-            self.add_elem(tuple(m if v == b else v for v in nodes))
-            self.add_elem(tuple(m if v == a else v for v in nodes))
-        for key in bkeys:
-            seg = self.facets.pop(key)
-            for v in key:
-                self.node2facets[v].discard(key)
-            for repl in (a, b):
-                newkey = tuple(sorted(m if v == repl else v for v in key))
-                self.facets[newkey] = seg
-                for v in newkey:
-                    self.node2facets[v].add(newkey)
-        return m
-
-    def alive_elements_array(self):
-        ids = [e for e, nodes in enumerate(self.elems) if nodes is not None]
-        return ids, np.array([self.elems[e] for e in ids], dtype=np.int64)
-
     def to_mesh(self):
-        keep = np.nonzero(self.alive[: self.n_nodes])[0]
-        remap = -np.ones(self.n_nodes, dtype=np.int64)
+        keep = np.nonzero(self.alive)[0]
+        remap = -np.ones(len(self.alive), dtype=np.int64)
         remap[keep] = np.arange(len(keep))
-        nodes = self.coords[keep].copy()
-        u = self.u[keep].copy()
-        tensors = self.tensors[keep].copy()
-        _, elems = self.alive_elements_array()
-        elements = remap[elems]
+        elements = remap[np.array([e for e in self.elems if e is not None],
+                                  dtype=np.int64)]
         fkeys = sorted(self.facets)
         facets = np.array([sorted(remap[list(k)]) for k in fkeys],
-                          dtype=np.int64).reshape(len(fkeys), self.dim)
+                          dtype=np.int64).reshape(len(fkeys), self.mesh.dim)
         segs = np.array([self.facets[k] for k in fkeys], dtype=np.int64)
         flags, _, _ = _node_flags(len(keep), facets, segs)
-        mesh = SimplicialMesh(self.dim, nodes, elements, facets, segs, flags,
-                              self.box.copy())
-        return mesh, u, MetricField(tensors)
+        mesh = SimplicialMesh(self.mesh.dim, self.coords[keep], elements, facets,
+                              segs, flags, self.mesh.box.copy())
+        return mesh, self.u[keep], MetricField(self.tensors[keep])
 
 
 def coarsen_pass(mesh, u, psi, opts):
@@ -402,7 +315,7 @@ def coarsen_pass(mesh, u, psi, opts):
     are also collapsed (still in ascending length order) until the node
     count drops to the budget.
     """
-    ed = _Editor(mesh, u, psi)
+    ed = _Editor(mesh, u, psi, opts.qual_p)
     edges = unique_edges(mesh.elements)
     lens = edge_lengths(mesh.nodes, psi.tensors, edges)
     order = np.argsort(lens, kind="stable")
@@ -412,50 +325,132 @@ def coarsen_pass(mesh, u, psi, opts):
         if lens[k] >= opts.l_low and (npb <= 0 or ed.n_alive_nodes <= npb):
             break
         a, b = int(edges[k, 0]), int(edges[k, 1])
-        if not (ed.alive[a] and ed.alive[b]) or not ed.edge_exists(a, b):
+        if not (ed.alive[a] and ed.alive[b] and ed.node2el[a] & ed.node2el[b]):
             continue
-        if ed.try_collapse(a, b, opts.qual_p):
+        if ed.try_collapse(a, b):
             n_collapsed += 1
     new_mesh, new_u, new_psi = ed.to_mesh()
     return new_mesh, new_u, new_psi, n_collapsed
 
 
 def refine_pass(mesh, u, psi, opts):
-    """Bisect the longest edge of every element whose longest metric edge
-    exceeds `l_up`; splitting an edge splits all elements sharing it, which
-    keeps the mesh conforming. Repeats until no element violates the bound.
+    """Longest-edge bisection with conformity closure (Rivara, IJNME 1984).
+
+    Each round marks the longest metric edge of every element whose longest
+    metric edge exceeds `l_up` and bisects every marked edge, with field and
+    metric tensors averaged from its endpoints, splitting every element and
+    boundary facet on it (`_bisect`). The midpoint of the marked edge of rank
+    k, by descending length and then node ids, is node n + k. Rounds repeat
+    until no element violates the bound, or warn after `_MAX_REFINE_ROUNDS`.
     """
-    ed = _Editor(mesh, u, psi)
     d = mesh.dim
     pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    coords, tensors = mesh.nodes, psi.tensors
+    u = np.array(u, dtype=float)
+    elems = np.asarray(mesh.elements, dtype=np.int64)
+    facets = np.asarray(mesh.boundary_facets, dtype=np.int64)
+    segs = np.asarray(mesh.facet_segments, dtype=np.int64)
     n_split = 0
-    for _ in range(_MAX_REFINE_ROUNDS):
-        _, elems = ed.alive_elements_array()
-        if len(elems) == 0:
-            break
-        coords = ed.coords[: ed.n_nodes]
-        tensors = ed.tensors[: ed.n_nodes]
-        lens = np.empty((len(elems), len(pairs)))
-        for c, (i, j) in enumerate(pairs):
-            lens[:, c] = edge_lengths(coords, tensors,
-                                      np.column_stack([elems[:, i], elems[:, j]]))
+    for rnd in range(_MAX_REFINE_ROUNDS + 1):
+        lens = np.column_stack([edge_lengths(coords, tensors, elems[:, [i, j]])
+                                for i, j in pairs])
         longest = lens.max(axis=1)
-        which = lens.argmax(axis=1)
         viol = np.nonzero(longest > opts.l_up)[0]
         if viol.size == 0:
             break
-        marked = {}
-        for row in viol:
-            i, j = pairs[which[row]]
-            key = tuple(sorted((int(elems[row, i]), int(elems[row, j]))))
-            marked[key] = max(marked.get(key, 0.0), float(longest[row]))
-        for key in sorted(marked, key=lambda k: (-marked[k], k)):
-            a, b = key
-            if ed.edge_exists(a, b):
-                ed.split_edge(a, b)
-                n_split += 1
-    new_mesh, new_u, new_psi = ed.to_mesh()
-    return new_mesh, new_u, new_psi, n_split
+        if rnd == _MAX_REFINE_ROUNDS:
+            logger.warning("refine stopped after %d rounds with %d elements "
+                           "still above l_up", rnd, viol.size)
+            break
+        which = np.array(pairs)[lens[viol].argmax(axis=1)]
+        ends = np.sort(np.take_along_axis(elems[viol], which, axis=1), axis=1)
+        ends, inverse = np.unique(ends, axis=0, return_inverse=True)
+        length = np.full(len(ends), -np.inf)
+        np.maximum.at(length, inverse.ravel(), longest[viol])
+        a, b = ends[np.lexsort((ends[:, 1], ends[:, 0], -length))].T
+        elems, facets, segs = _bisect(elems, facets, segs, a, b, len(coords))
+        coords = np.concatenate([coords, 0.5 * (coords[a] + coords[b])])
+        u = np.concatenate([u, 0.5 * (u[a] + u[b])])
+        tensors = np.concatenate([tensors, 0.5 * (tensors[a] + tensors[b])])
+        n_split += len(a)
+    facets = np.sort(facets, axis=1)
+    order = np.lexsort(facets.T[::-1])
+    facets, segs = facets[order], segs[order]
+    flags, _, _ = _node_flags(len(coords), facets, segs)
+    new_mesh = SimplicialMesh(d, coords, elems, facets, segs, flags, mesh.box.copy())
+    return new_mesh, u, MetricField(tensors), n_split
+
+
+def _bisect(elems, facets, segs, a, b, n):
+    """Split the edges (a[k], b[k]), a < b < n, at new nodes n + k, with
+    the result of splitting them one at a time in rank order k.
+
+    Each sub-round splits at once every pending edge that is the lowest
+    pending one of all elements on it; these share no element (or facet),
+    and every element sees its edges split in rank order. A child keeps its
+    parent's vertex positions, so it inherits the parent's edge ranks, less
+    those of the edges through the replaced vertex. Elements come out in
+    one-at-a-time order, sorted by (rank of their split, 2 * parent
+    position + child), originals by (-1, index); child 0 has b replaced.
+    """
+    m = len(a)
+    mkeys = _facet_keys(np.column_stack([a, b]), n)
+    by_key = np.argsort(mkeys)
+    pending = np.ones(m + 1, dtype=bool)
+    pending[m] = False              # rank m stands for "no marked edge"
+
+    def edge_ranks(rows):
+        """Rank of the marked edge at each vertex pair of `rows`, else m;
+        also the (vertex, pair) incidence of the pairs."""
+        nv = rows.shape[1]
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        keys = _facet_keys(np.sort(rows[:, pairs], axis=2).reshape(-1, 2), n)
+        pos = np.minimum(np.searchsorted(mkeys, keys, sorter=by_key), m - 1)
+        rank = np.where(mkeys[by_key[pos]] == keys, by_key[pos], m)
+        incidence = np.array([[v in p for p in pairs] for v in range(nv)])
+        return rank.reshape(len(rows), len(pairs)), incidence
+
+    def split(rows, rank, incidence, lowest, go):
+        """The unsplit rows, the split ones, their split ranks, and the two
+        children of each with their edge ranks."""
+        hit = np.nonzero(go[lowest])[0]
+        k, parents = lowest[hit], rows[hit]
+        rest = np.ones(len(rows), dtype=bool)
+        rest[hit] = False
+        children = []
+        for end in (b, a):
+            at = parents == end[k, None]
+            children.append((np.where(at, (n + k)[:, None], parents),
+                             np.where(at @ incidence, m, rank[hit])))
+        return rest, hit, k, children
+
+    erank, eincidence = edge_ranks(elems)
+    frank, fincidence = edge_ranks(facets)
+    key_rank = np.full(len(elems), -1, dtype=np.int64)
+    key_pos = np.arange(len(elems))
+    while pending.any():
+        low = np.where(pending[erank], erank, m)
+        lowest = low.min(axis=1)
+        go = pending.copy()
+        go[low[low > lowest[:, None]]] = False     # waits behind a lower edge
+        flowest = np.where(pending[frank], frank, m).min(axis=1)
+        pending &= ~go
+        rest, hit, k, ((c0, r0), (c1, r1)) = split(elems, erank, eincidence,
+                                                   lowest, go)
+        # the position of each parent among the parents of its split
+        order = np.lexsort((key_pos[hit], key_rank[hit], k))
+        pos = np.empty(len(hit), dtype=np.int64)
+        pos[order] = np.arange(len(hit)) - np.searchsorted(k[order], k[order])
+        elems = np.concatenate([elems[rest], c0, c1])
+        erank = np.concatenate([erank[rest], r0, r1])
+        key_rank = np.concatenate([key_rank[rest], k, k])
+        key_pos = np.concatenate([key_pos[rest], 2 * pos, 2 * pos + 1])
+        rest, hit, _, ((c0, r0), (c1, r1)) = split(facets, frank, fincidence,
+                                                   flowest, go)
+        facets = np.concatenate([facets[rest], c0, c1])
+        frank = np.concatenate([frank[rest], r0, r1])
+        segs = np.concatenate([segs[rest], segs[hit], segs[hit]])
+    return elems[np.lexsort((key_pos, key_rank))], facets, segs
 
 
 def move_pass(mesh, u, psi, opts):

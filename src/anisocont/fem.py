@@ -83,27 +83,6 @@ class ProblemDef:
             raise ValueError(f"missing boundary conditions for segments {missing}")
 
 
-def eval_boundary_profile(profile, point, aux, dim=2):
-    """Evaluate a Dirichlet boundary profile at a boundary point.
-
-    GaussSpot reads the current spot position xi from `aux` on every call;
-    nothing is cached across parameter changes.
-    """
-    if profile == PROFILE_ZERO:
-        return 0.0
-    if profile == PROFILE_COS_HALF:
-        if dim != 2:
-            raise ValueError("cos_half profile is 2D only")
-        return float(aux.get("d", 0.0)) * np.cos(point[1] / 2.0)
-    if profile == PROFILE_GAUSS_SPOT:
-        xi = float(aux.get("xi", 0.0))
-        val = -((point[0] - xi) ** 2)
-        if dim == 3:
-            val -= point[2] ** 2
-        return float(np.exp(val))
-    raise ValueError(f"unknown boundary profile '{profile}'")
-
-
 def p1_element_gradients(mesh):
     """Gradients of the barycentric basis functions, shape (ne, d+1, d)."""
     nodes, elements = mesh.nodes, mesh.elements
@@ -165,7 +144,11 @@ def lumped_mass(mesh):
 
 
 def boundary_profile_values(profile, points, aux, dim=2):
-    """Array form of `eval_boundary_profile` at the rows of `points`."""
+    """A Dirichlet boundary profile at the rows of `points`.
+
+    GaussSpot reads the current spot position xi from `aux` on every call;
+    nothing is cached across parameter changes.
+    """
     points = np.asarray(points, dtype=float)
     if profile == PROFILE_ZERO:
         return np.zeros(len(points))

@@ -10,23 +10,28 @@ _FMT = "%.17g"
 _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
 
 
+def _write_rows(f, fmt, rows):
+    """Write one line per row of `rows`, each formatted by `fmt`, with one
+    `%` operation for the whole block."""
+    rows = np.asarray(rows)
+    f.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def write_mesh_text(path, mesh):
     """Write a mesh in the plain-text format (node/element/facet tables)."""
+    d = mesh.dim
     with open(path, "w") as f:
         f.write("anisocont-mesh 1\n")
-        f.write(f"dim {mesh.dim}\n")
+        f.write(f"dim {d}\n")
         f.write("box\n")
-        for axis in range(mesh.dim):
-            f.write(f"{_FMT % mesh.box[axis, 0]} {_FMT % mesh.box[axis, 1]}\n")
+        _write_rows(f, f"{_FMT} {_FMT}", mesh.box[:d])
         f.write(f"nodes {mesh.num_nodes}\n")
-        for p in mesh.nodes:
-            f.write(" ".join(_FMT % c for c in p) + "\n")
+        _write_rows(f, " ".join([_FMT] * d), mesh.nodes)
         f.write(f"elements {mesh.num_elements}\n")
-        for e in mesh.elements:
-            f.write(" ".join(str(int(i)) for i in e) + "\n")
+        _write_rows(f, " ".join(["%d"] * (d + 1)), mesh.elements)
         f.write(f"facets {len(mesh.boundary_facets)}\n")
-        for facet, seg in zip(mesh.boundary_facets, mesh.facet_segments):
-            f.write(" ".join(str(int(i)) for i in facet) + f" {int(seg)}\n")
+        _write_rows(f, " ".join(["%d"] * (d + 1)),
+                    np.column_stack([mesh.boundary_facets, mesh.facet_segments]))
 
 
 def read_mesh_text(path):
@@ -70,8 +75,7 @@ def read_mesh_text(path):
 
 def write_field_text(path, u):
     with open(path, "w") as f:
-        for v in np.asarray(u, dtype=float):
-            f.write(_FMT % v + "\n")
+        _write_rows(f, _FMT, np.asarray(u, dtype=float))
 
 
 def read_field_text(path):
@@ -86,30 +90,26 @@ def write_vtk(path, mesh, point_data=None, title="anisocont output"):
     z = 0.
     """
     point_data = point_data or {}
-    nv = mesh.dim + 1
+    n, nv = mesh.num_nodes, mesh.dim + 1
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
         f.write(title + "\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.num_nodes} double\n")
-        for p in mesh.nodes:
-            coords = list(p) + [0.0] * (3 - mesh.dim)
-            f.write(" ".join(_FMT % c for c in coords) + "\n")
+        f.write(f"POINTS {n} double\n")
+        points = np.zeros((n, 3))
+        points[:, :mesh.dim] = mesh.nodes
+        _write_rows(f, f"{_FMT} {_FMT} {_FMT}", points)
         f.write(f"CELLS {mesh.num_elements} {mesh.num_elements * (nv + 1)}\n")
-        for e in mesh.elements:
-            f.write(f"{nv} " + " ".join(str(int(i)) for i in e) + "\n")
+        _write_rows(f, f"{nv} " + " ".join(["%d"] * nv), mesh.elements)
         f.write(f"CELL_TYPES {mesh.num_elements}\n")
-        ctype = _VTK_CELL_TYPE[mesh.dim]
-        for _ in range(mesh.num_elements):
-            f.write(f"{ctype}\n")
+        f.write(f"{_VTK_CELL_TYPE[mesh.dim]}\n" * mesh.num_elements)
         if point_data:
-            f.write(f"POINT_DATA {mesh.num_nodes}\n")
+            f.write(f"POINT_DATA {n}\n")
             for name, values in point_data.items():
                 values = np.asarray(values, dtype=float)
-                if values.shape != (mesh.num_nodes,):
+                if values.shape != (n,):
                     raise ValueError(f"field '{name}' length does not match node count")
                 f.write(f"SCALARS {name} double 1\n")
                 f.write("LOOKUP_TABLE default\n")
-                for v in values:
-                    f.write(_FMT % v + "\n")
+                _write_rows(f, _FMT, values)

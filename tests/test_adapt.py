@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import anisocont as ac
 from anisocont import adapt, metric
+from anisocont import mesh as mesh_module
 from anisocont.metric import MetricField
 
 
@@ -147,6 +148,81 @@ class TestCoarsenPass:
             assert old[p] == v
 
 
+def refine_oracle(mesh, u, psi, opts):
+    """The refine pass `adapt.refine_pass` replaced, kept as its bitwise
+    reference: it splits the marked edges of a round one at a time, in
+    (-length, node ids) order, on node -> element and node -> facet maps,
+    appending the two children of each split element to the element list."""
+    d = mesh.dim
+    pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    coords, vals, tens = list(mesh.nodes), list(np.asarray(u, float)), list(psi.tensors)
+    elems = [tuple(int(v) for v in e) for e in mesh.elements]
+    node2el = [set() for _ in coords]
+    for e, nodes in enumerate(elems):
+        for v in nodes:
+            node2el[v].add(e)
+    facets = {tuple(sorted(int(v) for v in f)): int(s)
+              for f, s in zip(mesh.boundary_facets, mesh.facet_segments)}
+
+    def split_edge(a, b):
+        m = len(coords)
+        coords.append(0.5 * (coords[a] + coords[b]))
+        vals.append(0.5 * (vals[a] + vals[b]))
+        tens.append(0.5 * (tens[a] + tens[b]))
+        node2el.append(set())
+        for e in sorted(node2el[a] & node2el[b]):
+            nodes = elems[e]
+            elems[e] = None
+            for v in nodes:
+                node2el[v].discard(e)
+            for child in (tuple(m if v == b else v for v in nodes),
+                          tuple(m if v == a else v for v in nodes)):
+                for v in child:
+                    node2el[v].add(len(elems))
+                elems.append(child)
+        for key in [k for k in facets if a in k and b in k]:
+            seg = facets.pop(key)
+            for repl in (a, b):
+                facets[tuple(sorted(m if v == repl else v for v in key))] = seg
+
+    n_split = 0
+    for _ in range(adapt._MAX_REFINE_ROUNDS):
+        alive = np.array([e for e in elems if e is not None], dtype=np.int64)
+        C, T = np.array(coords), np.array(tens)
+        lens = np.column_stack([metric.edge_lengths(C, T, alive[:, [i, j]])
+                                for i, j in pairs])
+        longest, which = lens.max(axis=1), lens.argmax(axis=1)
+        marked = {}
+        for row in np.nonzero(longest > opts.l_up)[0]:
+            i, j = pairs[which[row]]
+            key = tuple(sorted((int(alive[row, i]), int(alive[row, j]))))
+            marked[key] = max(marked.get(key, 0.0), float(longest[row]))
+        if not marked:
+            break
+        for a, b in sorted(marked, key=lambda k: (-marked[k], k)):
+            split_edge(a, b)
+            n_split += 1
+    fkeys = sorted(facets)
+    fac = np.array(fkeys, dtype=np.int64).reshape(len(fkeys), d)
+    segs = np.array([facets[k] for k in fkeys], dtype=np.int64)
+    return (np.array(coords), np.array([e for e in elems if e is not None]),
+            fac, segs, np.array(vals), np.array(tens), n_split)
+
+
+def assert_refine_matches_oracle(mesh, u, psi, opts):
+    m2, u2, psi2, n = adapt.refine_pass(mesh, u, psi, opts)
+    nodes, elems, facets, segs, vals, tens, n_ref = refine_oracle(mesh, u, psi, opts)
+    assert n == n_ref
+    for got, want in ((m2.nodes, nodes), (m2.elements, elems),
+                      (m2.boundary_facets, facets), (m2.facet_segments, segs),
+                      (u2, vals), (psi2.tensors, tens)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    flags, _, _ = mesh_module._node_flags(len(nodes), facets, segs)
+    assert m2.boundary_node_flags == flags
+    return n
+
+
 class TestRefinePass:
     def test_noop_when_within_bounds(self):
         m = ac.build_rect_mesh(0.5, 0.5, 2, 2)   # edges 1 and sqrt(2)
@@ -172,20 +248,80 @@ class TestRefinePass:
         assert np.abs(u2 - m2.nodes[:, 0]).max() < 1e-12
 
     def test_interior_edge_conformity_closure(self):
-        # hand-traced: splitting the shared diagonal of a 2-triangle square
-        # must split both neighbors, giving exactly 4 triangles
+        # under 0.4 I the sides of the 2-triangle square measure 1.265 < l_up
+        # and the diagonal 1.789 > l_up: splitting the diagonal must split
+        # both triangles, giving exactly 4 triangles around the centre
         m = ac.build_rect_mesh(1, 1, 2, 2)
-        diag = next(e for e in m.edges()
-                    if abs(m.nodes[e[1], 0] - m.nodes[e[0], 0]) > 1e-12
-                    and abs(m.nodes[e[1], 1] - m.nodes[e[0], 1]) > 1e-12)
-        ed = adapt._Editor(m, np.zeros(4), uniform_metric(m, np.eye(2)))
-        mid = ed.split_edge(int(diag[0]), int(diag[1]))
-        m2, u2, _ = ed.to_mesh()
-        assert m2.num_elements == 4
+        opts = opts2d()
+        m2, _, _, n = adapt.refine_pass(m, np.zeros(4),
+                                        uniform_metric(m, 0.4 * np.eye(2)), opts)
+        assert n == 1
         assert m2.num_nodes == 5
-        assert np.allclose(m2.nodes[-1], (0.0, 0.0)) or \
-            any(np.allclose(p, (0.0, 0.0)) for p in m2.nodes)
+        assert m2.num_elements == 4
+        assert np.array_equal(m2.nodes[4], [0.0, 0.0])
         assert ac.validate(m2).total_defects == 0
+
+    def test_round_cap_warns(self, monkeypatch, caplog):
+        m = ac.build_rect_mesh(1, 1, 3, 3)
+        psi = uniform_metric(m, 25.0 * np.eye(2))
+        u = np.zeros(m.num_nodes)
+        with caplog.at_level("WARNING", logger="anisocont.adapt"):
+            adapt.refine_pass(m, u, psi, opts2d())
+        assert not caplog.records
+        monkeypatch.setattr(adapt, "_MAX_REFINE_ROUNDS", 1)
+        with caplog.at_level("WARNING", logger="anisocont.adapt"):
+            m2, _, _, n = adapt.refine_pass(m, u, psi, opts2d())
+        assert n > 0
+        pairs = [[0, 1], [0, 2], [1, 2]]
+        lens = metric.edge_lengths(m2.nodes, uniform_metric(m2, 25.0 * np.eye(2)).tensors,
+                                   m2.elements[:, pairs].reshape(-1, 2)).reshape(-1, 3)
+        n_viol = int(np.sum(lens.max(axis=1) > opts2d().l_up))
+        assert n_viol > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"refine stopped after 1 rounds with {n_viol} elements still above l_up"]
+
+
+class TestRefineAgainstOracle:
+    def test_anisotropic_rect(self):
+        m = ac.build_rect_mesh(2, 1, 9, 5)
+        x, y = m.nodes.T
+        diag = np.column_stack([9.0 + 40.0 * x ** 2, 2.0 + y ** 2])
+        tensors = np.einsum("ni,ij->nij", diag, np.eye(2))
+        tensors[:, 0, 1] = tensors[:, 1, 0] = 0.3 * np.sqrt(diag.prod(axis=1))
+        u = np.sin(x) * np.cos(2 * y)
+        assert assert_refine_matches_oracle(m, u, MetricField(tensors), opts2d()) > 0
+
+    def test_criterion_05_start_mesh(self):
+        m = ac.build_rect_mesh(2.0, 2.0, 41, 41)
+        u = np.tanh(10.0 * (m.nodes[:, 0] - 1.0))
+        opts = ac.AdaptOptions.for_dim(2, innerit=10)
+        psi = metric.metric_for_field(m, u, opts.eta_policy, opts.ppar)
+        assert assert_refine_matches_oracle(m, u, psi, opts) > 1000
+
+    def test_box_with_two_marked_edges_per_element(self):
+        m = perturbed(ac.build_box_mesh(1, 1, 1, 4, 4, 4), 0.1, seed=0)
+        x, y, z = m.nodes.T
+        diag = np.column_stack([4.0 + 30.0 * x ** 2, 6.0 + 20.0 * y ** 2,
+                                3.0 + 10.0 * z ** 2])
+        psi = MetricField(np.einsum("ni,ij->nij", diag, np.eye(3)))
+        opts = ac.AdaptOptions.for_dim(3)
+        # the sub-round order matters where one element holds two marked
+        # edges of a round, as some do in the first round here
+        pairs = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)])
+        ends = np.sort(m.elements[:, pairs], axis=2)
+        lens = metric.edge_lengths(m.nodes, psi.tensors,
+                                   ends.reshape(-1, 2)).reshape(-1, 6)
+        viol = lens.max(axis=1) > opts.l_up
+        marked = {tuple(e) for e in ends[viol, lens[viol].argmax(axis=1)]}
+        held = [sum(tuple(e) in marked for e in row) for row in ends]
+        assert max(held) >= 2
+        assert assert_refine_matches_oracle(m, x * y + z, psi, opts) > 0
+
+    def test_without_splits(self):
+        # facets are still returned sorted, and the flags recomputed
+        m = TestSwapPass().kite()
+        psi = uniform_metric(m, np.eye(2))
+        assert assert_refine_matches_oracle(m, np.zeros(4), psi, opts2d(l_up=10.0)) == 0
 
 
 class TestMovePass:
@@ -449,13 +585,23 @@ class TestTwoStep:
 
 
 class TestInvariantsUnderFuzz:
+    # 3D keeps eta large, so that each example stays at a few hundred to a
+    # few thousand nodes; the tanh layer refines fast as eta falls
+    ETA = {2: (1e-4, 1e-2), 3: (3e-2, 1e-1)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 15), st.floats(1e-4, 1e-2))
-    def test_passes_preserve_validity(self, sw, eta):
-        m = ac.build_rect_mesh(1, 1, 7, 7)
-        u = 0.05 * np.sin(2 * m.nodes[:, 0]) * np.cos(m.nodes[:, 1])
-        opts = opts2d(sw=sw, innerit=1,
-                      eta_policy=metric.EtaPolicy.constant(eta))
+    @given(sw=st.integers(0, 15), data=st.data())
+    def test_passes_preserve_validity(self, dim, sw, data):
+        eta = data.draw(st.floats(*self.ETA[dim]), label="eta")
+        if dim == 2:
+            m = ac.build_rect_mesh(1, 1, 7, 7)
+            u = 0.05 * np.sin(2 * m.nodes[:, 0]) * np.cos(m.nodes[:, 1])
+        else:
+            m = ac.build_box_mesh(1, 1, 1, 5, 5, 5)
+            u = np.tanh(5.0 * (m.nodes[:, 0] - 0.2))
+        opts = ac.AdaptOptions.for_dim(dim, sw=sw, innerit=1,
+                                       eta_policy=metric.EtaPolicy.constant(eta))
         m2, u2, _ = ac.tradapt(m, u, opts)    # validates after every pass
         rep = ac.validate(m2)
         assert rep.total_defects == 0

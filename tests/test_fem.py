@@ -167,25 +167,43 @@ class TestL2Norm:
         assert ac.l2_norm(m, u) == pytest.approx(1 / np.sqrt(2), abs=1e-3)
 
 
+def eval_boundary_profile(profile, point, aux, dim=2):
+    """The scalar boundary profile `fem.boundary_profile_values` replaced,
+    kept as its oracle."""
+    if profile == fem.PROFILE_ZERO:
+        return 0.0
+    if profile == fem.PROFILE_COS_HALF:
+        if dim != 2:
+            raise ValueError("cos_half profile is 2D only")
+        return float(aux.get("d", 0.0)) * np.cos(point[1] / 2.0)
+    if profile == fem.PROFILE_GAUSS_SPOT:
+        xi = float(aux.get("xi", 0.0))
+        val = -((point[0] - xi) ** 2)
+        if dim == 3:
+            val -= point[2] ** 2
+        return float(np.exp(val))
+    raise ValueError(f"unknown boundary profile '{profile}'")
+
+
 class TestBoundaryProfiles:
     def test_gauss_peak(self):
-        assert ac.eval_boundary_profile("gauss_spot", np.array([1.5, np.pi]),
-                                        {"xi": 1.5}, 2) == pytest.approx(1.0)
+        assert fem.boundary_profile_values("gauss_spot", np.array([[1.5, np.pi]]),
+                                           {"xi": 1.5}, 2)[0] == pytest.approx(1.0)
 
     def test_cos_half_vanishes_at_corners(self):
         for y in (np.pi, -np.pi):
-            v = ac.eval_boundary_profile("cos_half", np.array([2 * np.pi, y]),
-                                         {"d": 3.7}, 2)
+            v = fem.boundary_profile_values("cos_half", np.array([[2 * np.pi, y]]),
+                                            {"d": 3.7}, 2)[0]
             assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_gauss_3d(self):
-        v = ac.eval_boundary_profile("gauss_spot",
-                                     np.array([1.5, -1.0, 1.0]), {"xi": 0.5}, 3)
+        v = fem.boundary_profile_values("gauss_spot",
+                                        np.array([[1.5, -1.0, 1.0]]), {"xi": 0.5}, 3)[0]
         assert v == pytest.approx(np.exp(-2.0))
 
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
-            ac.eval_boundary_profile("sombrero", np.zeros(2), {}, 2)
+            fem.boundary_profile_values("sombrero", np.zeros((1, 2)), {}, 2)
 
     def test_spot_tracks_xi_every_call(self, rect_mesh):
         prob = spot_problem_2d(xi=0.0)
@@ -211,7 +229,7 @@ class TestVectorizedProfiles:
         points = rng.uniform(-4.0, 4.0, size=(200, dim))
         aux = {"d": 1.7, "xi": 0.6}
         got = fem.boundary_profile_values(profile, points, aux, dim)
-        ref = [ac.eval_boundary_profile(profile, x, aux, dim) for x in points]
+        ref = [eval_boundary_profile(profile, x, aux, dim) for x in points]
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-300)
 
     def test_rejects_what_the_scalar_rejects(self):
@@ -241,7 +259,7 @@ class TestVectorizedProfiles:
         for i in idx:
             segs = sorted(mesh.boundary_node_flags[i])
             assert profile_of[int(i)] == prob.bc[segs[0]].profile
-        ref = [ac.eval_boundary_profile(profile_of[int(i)], mesh.nodes[i],
+        ref = [eval_boundary_profile(profile_of[int(i)], mesh.nodes[i],
                                         prob.aux, dim) for i in idx]
         np.testing.assert_allclose(fem.dirichlet_values(mesh, prob), ref,
                                    rtol=1e-15, atol=1e-300)

@@ -1,7 +1,110 @@
 import numpy as np
+import pytest
 
 import anisocont as ac
-from anisocont import meshio
+from anisocont import adapt, meshio
+from anisocont.metric import MetricField
+
+_FMT = "%.17g"
+
+
+# The per-row writers the block writers replaced, kept as their byte oracle.
+
+def write_mesh_text_oracle(path, mesh):
+    with open(path, "w") as f:
+        f.write("anisocont-mesh 1\n")
+        f.write(f"dim {mesh.dim}\n")
+        f.write("box\n")
+        for axis in range(mesh.dim):
+            f.write(f"{_FMT % mesh.box[axis, 0]} {_FMT % mesh.box[axis, 1]}\n")
+        f.write(f"nodes {mesh.num_nodes}\n")
+        for p in mesh.nodes:
+            f.write(" ".join(_FMT % c for c in p) + "\n")
+        f.write(f"elements {mesh.num_elements}\n")
+        for e in mesh.elements:
+            f.write(" ".join(str(int(i)) for i in e) + "\n")
+        f.write(f"facets {len(mesh.boundary_facets)}\n")
+        for facet, seg in zip(mesh.boundary_facets, mesh.facet_segments):
+            f.write(" ".join(str(int(i)) for i in facet) + f" {int(seg)}\n")
+
+
+def write_field_text_oracle(path, u):
+    with open(path, "w") as f:
+        for v in np.asarray(u, dtype=float):
+            f.write(_FMT % v + "\n")
+
+
+def write_vtk_oracle(path, mesh, point_data=None, title="anisocont output"):
+    point_data = point_data or {}
+    nv = mesh.dim + 1
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 2.0\n")
+        f.write(title + "\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.num_nodes} double\n")
+        for p in mesh.nodes:
+            coords = list(p) + [0.0] * (3 - mesh.dim)
+            f.write(" ".join(_FMT % c for c in coords) + "\n")
+        f.write(f"CELLS {mesh.num_elements} {mesh.num_elements * (nv + 1)}\n")
+        for e in mesh.elements:
+            f.write(f"{nv} " + " ".join(str(int(i)) for i in e) + "\n")
+        f.write(f"CELL_TYPES {mesh.num_elements}\n")
+        ctype = {2: 5, 3: 10}[mesh.dim]
+        for _ in range(mesh.num_elements):
+            f.write(f"{ctype}\n")
+        if point_data:
+            f.write(f"POINT_DATA {mesh.num_nodes}\n")
+            for name, values in point_data.items():
+                values = np.asarray(values, dtype=float)
+                f.write(f"SCALARS {name} double 1\n")
+                f.write("LOOKUP_TABLE default\n")
+                for v in values:
+                    f.write(_FMT % v + "\n")
+
+
+@pytest.fixture(params=[2, 3])
+def refined(request):
+    """A refined mesh with irregular coordinates, and awkward nodal values."""
+    if request.param == 2:
+        m = ac.build_rect_mesh(2 * np.pi, np.pi, 9, 5)
+    else:
+        m = ac.build_box_mesh(1.0, 2.0, 1.0, 3, 4, 3)
+    scale = np.linspace(2.0, 30.0, m.num_nodes)
+    psi = MetricField(scale[:, None, None] * np.eye(m.dim))
+    opts = ac.AdaptOptions.for_dim(m.dim)
+    m2, _, _, n = adapt.refine_pass(m, np.zeros(m.num_nodes), psi, opts)
+    assert n > 0
+    u = np.sin(7.3 * m2.nodes[:, 0]) * np.exp(m2.nodes[:, -1])
+    u[:4] = [-0.0, 1e-300, np.nan, -np.inf]
+    return m2, u
+
+
+def test_block_writers_match_row_oracle(tmp_path, refined):
+    mesh, u = refined
+    cases = [(meshio.write_mesh_text, write_mesh_text_oracle, (mesh,)),
+             (meshio.write_field_text, write_field_text_oracle, (u,)),
+             (meshio.write_vtk, write_vtk_oracle, (mesh,)),
+             (meshio.write_vtk, write_vtk_oracle, (mesh, {"u": u, "v": -u}, "t"))]
+    for k, (new, old, args) in enumerate(cases):
+        p_new, p_old = tmp_path / f"new{k}", tmp_path / f"old{k}"
+        new(p_new, *args)
+        old(p_old, *args)
+        assert p_new.read_bytes() == p_old.read_bytes(), new.__name__
+
+
+def test_block_writers_on_empty_blocks(tmp_path):
+    m = ac.build_rect_mesh(1.0, 1.0, 2, 2)
+    empty = ac.SimplicialMesh(2, m.nodes, np.zeros((0, 3), dtype=np.int64),
+                              np.zeros((0, 2), dtype=np.int64),
+                              np.zeros(0, dtype=np.int64), [frozenset()] * 4, m.box)
+    for new, old, args in ((meshio.write_mesh_text, write_mesh_text_oracle, (empty,)),
+                           (meshio.write_vtk, write_vtk_oracle, (empty,)),
+                           (meshio.write_field_text, write_field_text_oracle,
+                            (np.zeros(0),))):
+        new(tmp_path / "new", *args)
+        old(tmp_path / "old", *args)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
 def test_mesh_text_roundtrip(tmp_path, rect_mesh):
