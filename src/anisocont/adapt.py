@@ -293,19 +293,29 @@ class _Editor:
         self.n_alive_nodes -= 1
 
     def to_mesh(self):
-        keep = np.nonzero(self.alive)[0]
-        remap = -np.ones(len(self.alive), dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        elements = remap[np.array([e for e in self.elems if e is not None],
-                                  dtype=np.int64)]
-        fkeys = sorted(self.facets)
-        facets = np.array([sorted(remap[list(k)]) for k in fkeys],
-                          dtype=np.int64).reshape(len(fkeys), self.mesh.dim)
-        segs = np.array([self.facets[k] for k in fkeys], dtype=np.int64)
-        flags, _, _ = _node_flags(len(keep), facets, segs)
-        mesh = SimplicialMesh(self.mesh.dim, self.coords[keep], elements, facets,
-                              segs, flags, self.mesh.box.copy())
-        return mesh, self.u[keep], MetricField(self.tensors[keep])
+        elements = np.array([e for e in self.elems if e is not None],
+                            dtype=np.int64)
+        facets = np.array(list(self.facets), dtype=np.int64).reshape(
+            len(self.facets), self.mesh.dim)
+        segs = np.fromiter(self.facets.values(), dtype=np.int64,
+                           count=len(self.facets))
+        return _coarsened(self.mesh, self.u, self.tensors,
+                          np.nonzero(self.alive)[0], elements, facets, segs)
+
+
+def _coarsened(mesh, u, tensors, keep, elements, facets, segs):
+    """Mesh, field and metric on the ascending node ids `keep`, in the
+    normal form of every coarsen result: each facet row sorted, rows in
+    lexicographic order, node flags from `_node_flags`."""
+    remap = -np.ones(mesh.num_nodes, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    facets = np.sort(remap[facets], axis=1)
+    order = np.lexsort(facets.T[::-1])
+    facets, segs = facets[order], np.asarray(segs, dtype=np.int64)[order]
+    flags, _, _ = _node_flags(len(keep), facets, segs)
+    new_mesh = SimplicialMesh(mesh.dim, mesh.nodes[keep], remap[elements],
+                              facets, segs, flags, mesh.box.copy())
+    return new_mesh, np.asarray(u, dtype=float)[keep], MetricField(tensors[keep])
 
 
 def coarsen_pass(mesh, u, psi, opts):
@@ -313,16 +323,25 @@ def coarsen_pass(mesh, u, psi, opts):
 
     When `opts` carries a positive node budget `npb`, edges beyond `l_low`
     are also collapsed (still in ascending length order) until the node
-    count drops to the budget.
+    count drops to the budget. A pass with nothing to try returns the input
+    in normal form without building the editor.
     """
-    ed = _Editor(mesh, u, psi, opts.qual_p)
     edges = unique_edges(mesh.elements)
     lens = edge_lengths(mesh.nodes, psi.tensors, edges)
     order = np.argsort(lens, kind="stable")
     npb = int(getattr(opts, "npb", 0))
+
+    def done(k, n_alive):
+        return lens[k] >= opts.l_low and (npb <= 0 or n_alive <= npb)
+
+    if len(order) == 0 or done(order[0], mesh.num_nodes):
+        return (*_coarsened(mesh, u, psi.tensors, np.arange(mesh.num_nodes),
+                            mesh.elements, mesh.boundary_facets,
+                            mesh.facet_segments), 0)
+    ed = _Editor(mesh, u, psi, opts.qual_p)
     n_collapsed = 0
     for k in order:
-        if lens[k] >= opts.l_low and (npb <= 0 or ed.n_alive_nodes <= npb):
+        if done(k, ed.n_alive_nodes):
             break
         a, b = int(edges[k, 0]), int(edges[k, 1])
         if not (ed.alive[a] and ed.alive[b] and ed.node2el[a] & ed.node2el[b]):

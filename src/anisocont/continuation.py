@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 XI_WEIGHT = 0.5
 DENSE_EIG_LIMIT = 3000
-BACKWARD_TOL = 1e-12          # accepted normwise backward error of a bordered solve
+BACKWARD_TOL = 1e-12          # accepted normwise backward error of a solve
 NUDGE = 1e-10                 # last-resort diagonal shift of a singular tangent system
 
 
@@ -167,11 +167,14 @@ class FemWorkspace:
         return math.sqrt(max(self.inner(du, dp, du, dp), 0.0))
 
 
-def factorize(A):
-    """Sparse LU for repeated solves: minimum-degree ordering of A' + A with
-    symmetric-mode threshold pivoting (README, "Linear solves")."""
+def factorize(A, diag_pivot_thresh=0.1):
+    """Sparse LU: minimum-degree ordering of A' + A with symmetric-mode
+    threshold pivoting (README, "Linear solves"). The default threshold 0.1
+    serves repeated solves; `stability_index` passes 0.0, which keeps every
+    nonzero diagonal pivot, so the factors of a symmetric A are L D L'."""
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+                     diag_pivot_thresh=diag_pivot_thresh,
+                     options={"SymmetricMode": True})
 
 
 class BorderedSolver:
@@ -380,10 +383,23 @@ def _shift_invert(A):
 
 
 def stability_index(mesh, u, prob, work=None):
-    """Count of negative eigenvalues of the Dirichlet-reduced pencil (J, M).
+    """Count of negative eigenvalues of the Dirichlet-reduced pencil (A, M),
+    where A is the symmetric part of the reduced Jacobian J.
 
-    Dense generalized solve below 3000 unknowns, shift-invert Lanczos around
-    zero above. Returns None when the factorization or the eigensolver fails.
+    Off the trivial branch the consistent-mass Jacobian K - M diag(f'(u)) is
+    not symmetric, and the count is that of its symmetrized pencil. A dense
+    oracle of the true pencil, the real parts of eig(J, M), gives the same
+    count on every state of the switched `cos` branch, fold included
+    (tests/test_continuation.py, TestPencil), so the symmetric part is
+    enough here.
+
+    M is SPD, so by Sylvester's law of inertia the count is the number of
+    negative pivots of A = L D L'. `factorize` with `diag_pivot_thresh=0`
+    gives those pivots as diag(U) when two checks hold: no off-diagonal pivot
+    was taken (perm_r == perm_c) and one solve has a normwise backward error
+    of at most BACKWARD_TOL. Otherwise, and when SuperLU finds A exactly
+    singular, a warning names the reason and shift-invert Lanczos counts the
+    eigenvalues instead. Returns None when that fallback fails too.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
@@ -391,14 +407,37 @@ def stability_index(mesh, u, prob, work=None):
     n = A.shape[0]
     if n == 0:
         return 0
+    count, reason = _inertia(A)
+    if count is not None:
+        return count
+    logger.warning("inertia count rejected (%s); counting eigenvalues by "
+                   "shift-invert", reason)
+    return _shift_invert_count(A, B)
+
+
+def _inertia(A):
+    """(negative pivot count, None) of the L D L' factors of symmetric A, or
+    (None, reason) when the factors do not certify it."""
+    try:
+        lu = factorize(A, diag_pivot_thresh=0.0)
+    except RuntimeError as exc:          # SuperLU: exactly singular
+        return None, f"factorization failed: {exc}"
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, "off-diagonal pivot"
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    err = np.max(np.abs(b - A @ x)) / (spla.norm(A, np.inf) * np.max(np.abs(x))
+                                       + np.max(np.abs(b)))
+    if not err <= BACKWARD_TOL:
+        return None, f"backward error {err:.1e}"
+    return int(np.sum(lu.U.diagonal() < 0)), None
+
+
+def _shift_invert_count(A, B):
+    """Eigenvalues of (A, B) below zero by shift-invert Lanczos, widening the
+    window until it holds them all; None when the solve fails."""
+    n = A.shape[0]
     tol = 1e-10
-    if n <= DENSE_EIG_LIMIT:
-        try:
-            w = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
-        except Exception as exc:
-            logger.warning("dense eigenvalue solve failed: %s", exc)
-            return None
-        return int(np.sum(w < -tol * max(1.0, float(np.max(np.abs(w))))))
     try:
         OPinv = _shift_invert(A)
     except RuntimeError as exc:

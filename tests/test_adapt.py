@@ -117,6 +117,38 @@ class TestCoarsenPass:
         assert n == 0
         assert m2.num_nodes == m.num_nodes
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_noop_skips_editor_in_normal_form(self, dim, monkeypatch):
+        # facets out of order and unsorted within rows: the pass without
+        # collapses must still return the editor's normal form, bitwise
+        base = (ac.build_rect_mesh(1, 1, 3, 3) if dim == 2
+                else ac.build_box_mesh(1.0, 1.0, 1.0, 3, 3, 3))
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(len(base.boundary_facets))
+        m = mesh_module.SimplicialMesh(
+            dim, base.nodes, base.elements, base.boundary_facets[perm, ::-1],
+            base.facet_segments[perm], base.boundary_node_flags, base.box)
+        u = rng.standard_normal(m.num_nodes)
+        psi = uniform_metric(m, np.eye(dim))      # h = 1 >= l_low
+        opts = ac.CoarsenOptions.from_trop(ac.AdaptOptions.for_dim(dim),
+                                           npb=m.num_nodes + 1)
+        ref_mesh, ref_u, ref_psi = adapt._Editor(m, u, psi, opts.qual_p).to_mesh()
+
+        def no_editor(*args):
+            raise AssertionError("editor built for a pass with nothing to try")
+
+        monkeypatch.setattr(adapt, "_Editor", no_editor)
+        m2, u2, psi2, n = adapt.coarsen_pass(m, u, psi, opts)
+        assert n == 0
+        for got, ref in ((m2.nodes, ref_mesh.nodes), (m2.elements, ref_mesh.elements),
+                         (m2.boundary_facets, ref_mesh.boundary_facets),
+                         (m2.facet_segments, ref_mesh.facet_segments),
+                         (m2.box, ref_mesh.box), (u2, ref_u),
+                         (psi2.tensors, ref_psi.tensors)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert m2.boundary_node_flags == ref_mesh.boundary_node_flags
+        assert not np.array_equal(m2.boundary_facets, m.boundary_facets)
+
     def test_all_short_edges_coarsen(self):
         m = ac.build_rect_mesh(1, 1, 9, 9)      # h = 0.25
         opts = opts2d()

@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +129,65 @@ class TestStabilityIndex:
         for lam, expected in ((0.1, 0), (0.4, 1), (1.2, 4)):
             prob = cos_problem(d=0.0, lam=lam)
             assert ct.stability_index(m, np.zeros(m.num_nodes), prob) == expected
+
+    def test_pivot_count_matches_eigh(self):
+        # random sparse symmetric indefinite matrices, from diagonally
+        # dominant to far from it
+        rng = np.random.default_rng(3)
+        for _ in range(24):
+            n = int(rng.integers(5, 80))
+            R = sp.random(n, n, density=0.1, random_state=rng)
+            S = R + R.T
+            rowsum = np.asarray(abs(S).sum(axis=1)).ravel()
+            diag = rng.choice([-1.0, 1.0], n) * (rng.uniform(0.3, 1.5) * rowsum
+                                                 + 0.1)
+            A = (S + sp.diags(diag)).tocsc()
+            expected = int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0))
+            assert ct._inertia(A) == (expected, None)
+
+    def test_zero_diagonal_is_rejected(self):
+        # a zero diagonal forces an off-diagonal pivot, and U's diagonal no
+        # longer carries the inertia
+        A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert ct._inertia(A) == (None, "off-diagonal pivot")
+
+
+class TestPencil:
+    """The count is taken on the symmetric part of the reduced Jacobian.
+    Off the trivial branch J = K - M diag(f'(u)) is not symmetric; this
+    dense oracle compares the count with the true pencil (J, M) on every
+    state of a switched branch that passes a fold."""
+
+    def test_count_matches_true_pencil_on_switched_branch(self, bp):
+        assert abs(bp.param - 0.3139) < 1e-3
+        settings = ct.ContinuationSettings(ds0=0.02, ds_max=0.05, ds_min=1e-8,
+                                           nsteps=30, bif_detection=True)
+        prob = cos_problem(d=0.0, lam=bp.param)
+        start = ct.branch_switch(
+            ct.ContinuationState(bp.mesh, bp.u, prob, ds=0.02), bp.phi,
+            settings)
+        states = []
+        result = ct.run_continuation(
+            start, settings, on_record=lambda rec, st: states.append((rec, st)))
+        assert len(states) == 31
+        assert [e.step for e in result.events
+                if isinstance(e, ct.FoldEvent)] == [8]
+        work = ct.FemWorkspace(bp.mesh, prob)
+        free = work.free
+        M = work.M[free][:, free].toarray()
+        L = np.linalg.cholesky(M)
+        asym = 0.0
+        for rec, st in states:
+            J = work.jacobian(st.u, st.prob)[free][:, free].toarray()
+            asym = max(asym, np.abs(J - J.T).max() / np.abs(J).max())
+            # eig(J, M) = eig(L^-1 J L^-T) with M = L L'
+            C = scipy.linalg.solve_triangular(L, J, lower=True)
+            C = scipy.linalg.solve_triangular(L, C.T, lower=True).T
+            true_count = int(np.sum(np.linalg.eigvals(C).real < 0))
+            sym_count = int(np.sum(scipy.linalg.eigh(
+                0.5 * (J + J.T), M, eigvals_only=True) < 0))
+            assert rec.n_neg == true_count == sym_count, rec.step
+        assert asym > 1e-3      # the two pencils do differ
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +630,7 @@ class TestFailurePaths:
         m = cos_mesh(17, 9)
         prob = cos_problem(d=0.0, lam=0.4)
 
-        def singular(A):
+        def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
@@ -578,6 +638,51 @@ class TestFailurePaths:
         with caplog.at_level(logging.WARNING, logger=ct.logger.name):
             assert ct.stability_index(m, np.zeros(m.num_nodes), prob) is None
         assert "factorizing the reduced pencil failed" in caplog.text
+
+    @staticmethod
+    def inertia_factor(monkeypatch, fake):
+        """Replace the LU of the inertia count (diag_pivot_thresh=0) by
+        `fake(lu)`; the shift-invert fallback keeps the real factorization."""
+        real = ct.factorize
+
+        def patched(A, diag_pivot_thresh=0.1):
+            lu = real(A, diag_pivot_thresh=diag_pivot_thresh)
+            return fake(lu) if diag_pivot_thresh == 0.0 else lu
+
+        monkeypatch.setattr(ct, "factorize", patched)
+
+    def assert_fallback(self, caplog, reason):
+        m = cos_mesh(17, 9)
+        prob = cos_problem(d=0.0, lam=0.4)
+        with caplog.at_level(logging.WARNING, logger=ct.logger.name):
+            assert ct.stability_index(m, np.zeros(m.num_nodes), prob) == 1
+        rejected = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("inertia count rejected")]
+        assert len(rejected) == 1 and reason in rejected[0]
+
+    def test_inertia_off_diagonal_pivot_falls_back(self, monkeypatch, caplog):
+        def rows_permuted(lu):
+            return SimpleNamespace(perm_r=np.roll(lu.perm_r, 1),
+                                   perm_c=lu.perm_c, U=lu.U, solve=lu.solve)
+
+        self.inertia_factor(monkeypatch, rows_permuted)
+        self.assert_fallback(caplog, "off-diagonal pivot")
+
+    def test_inertia_backward_error_falls_back(self, monkeypatch, caplog):
+        def inaccurate(lu):
+            return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=lu.U,
+                                   solve=lambda b: lu.solve(b) * (1 + 1e-6))
+
+        self.inertia_factor(monkeypatch, inaccurate)
+        self.assert_fallback(caplog, "backward error")
+
+    def test_inertia_singular_factorization_falls_back(self, monkeypatch,
+                                                       caplog):
+        def singular(lu):
+            raise RuntimeError("Factor is exactly singular")
+
+        self.inertia_factor(monkeypatch, singular)
+        self.assert_fallback(caplog, "Factor is exactly singular")
 
     def test_critical_eigenpair_factorization_failure(self, monkeypatch):
         m = cos_mesh(17, 9)
@@ -632,6 +737,7 @@ class TestShiftInvert:
                     for lam in (0.1, 0.4, 1.2)}
         assert expected == {0.1: 0, 0.4: 1, 1.2: 4}
         monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(ct, "_inertia", lambda A: (None, "forced"))
         for lam, count in expected.items():
             prob = cos_problem(d=0.0, lam=lam)
             assert ct.stability_index(m, np.zeros(m.num_nodes), prob) == count
