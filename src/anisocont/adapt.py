@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import (SimplicialMesh, _facet_keys, _node_flags, _p1_weights,
-                   _slots_by_count, facet_topology, quality, signed_volumes,
-                   unique_edges, validate)
+                   _slots_by_count, _unique_rows, facet_topology, quality,
+                   signed_volumes, unique_edges, validate)
 from .metric import MetricField, EtaPolicy, edge_lengths, metric_for_field
 
 logger = logging.getLogger(__name__)
@@ -383,9 +383,9 @@ def refine_pass(mesh, u, psi, opts):
             break
         which = np.array(pairs)[lens[viol].argmax(axis=1)]
         ends = np.sort(np.take_along_axis(elems[viol], which, axis=1), axis=1)
-        ends, inverse = np.unique(ends, axis=0, return_inverse=True)
+        ends, inverse = _unique_rows(ends, len(coords))
         length = np.full(len(ends), -np.inf)
-        np.maximum.at(length, inverse.ravel(), longest[viol])
+        np.maximum.at(length, inverse, longest[viol])
         a, b = ends[np.lexsort((ends[:, 1], ends[:, 0], -length))].T
         elems, facets, segs = _bisect(elems, facets, segs, a, b, len(coords))
         coords = np.concatenate([coords, 0.5 * (coords[a] + coords[b])])

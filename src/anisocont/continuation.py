@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 XI_WEIGHT = 0.5
 DENSE_EIG_LIMIT = 3000
 BACKWARD_TOL = 1e-12          # accepted normwise backward error of a solve
+MAX_SWEEPS = 8                # refinement sweeps on a kept LU before refactoring
 NUDGE = 1e-10                 # last-resort diagonal shift of a singular tangent system
 
 
@@ -84,6 +85,9 @@ class NewtonResult:
     iterations: int
     residual_norm: float
     converged: bool
+    solver: BorderedSolver | None = None   # holds the LU for later solves
+    factorizations: int = 0
+    refinements: int = 0
 
 
 @dataclass
@@ -124,6 +128,7 @@ class FemWorkspace:
         self.free = np.ones(mesh.num_nodes, dtype=bool)
         self.free[self.dir_idx] = False
         self._K_cache = (None, None)
+        self._J_cache = (None, None, None)
 
     def K(self, c):
         if self._K_cache[0] != c:
@@ -135,8 +140,16 @@ class FemWorkspace:
                             dir_idx=self.dir_idx, dir_groups=self.dir_groups)
 
     def jacobian(self, u, prob):
-        return fem.jacobian(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
-                            dir_idx=self.dir_idx)
+        """`fem.jacobian`, remembered for the last (u, parameters) by value:
+        the tangent and the stability index ask at the same state, and
+        Newton updates u in place. Callers must not modify the result."""
+        key = (prob.c, prob.lam, prob.gamma, sorted(prob.aux.items()))
+        last_u, last_key, J = self._J_cache
+        if last_key != key or not np.array_equal(last_u, u):
+            J = fem.jacobian(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
+                             dir_idx=self.dir_idx)
+            self._J_cache = (np.array(u, dtype=float), key, J)
+        return J
 
     def dresidual_dparam(self, u, prob):
         """Exact derivative of `residual` in the active parameter. Only the
@@ -178,66 +191,134 @@ def factorize(A, diag_pivot_thresh=0.1):
 
 
 class BorderedSolver:
-    """One LU of J shared by plain solves and solves with the arclength
-    border.
+    """Plain solves with J and solves with J bordered by the arclength row,
+    from one LU that may be of a nearby matrix.
+
+    `factor(J)` factors J afresh; `update(J)` moves on to a later J near the
+    one factored and keeps the LU (it factors J when no LU is held). Every
+    solve refines against the current J until its normwise backward error
+    |b - A z| / (|A| |z| + |b|) is at most BACKWARD_TOL. On an LU of J
+    itself one refinement sweep is allowed. On a kept LU refinement goes on
+    while each sweep at least halves the error, for at most MAX_SWEEPS
+    sweeps; otherwise J is factored afresh (a refactor) and the solve starts
+    over on that LU. So a solve on a kept LU is as accurate as the bound
+    asks, and Newton iterations on it are exact Newton steps.
 
     `solve_bordered(g, r, c, f, h)` solves [[J, g], [r', c]] [x; y] = [f; h]
-    by block elimination with J's factors: v = J^-1 g and w = J^-1 f (two
-    back-solves), y = (h - r.w) / (c - r.v), x = w - y v. Near a singular J
-    this loses accuracy, so its normwise backward error is checked: one step
-    of iterative refinement comes first, then one LU of the full bordered
-    matrix, and with `nudge` that matrix plus 1e-10 I as the last resort.
-    `refinements` and `fallbacks` count the refinement steps and full LUs.
+    by block elimination with the LU: v = J^-1 g and w = J^-1 f (two
+    back-solves), y = (h - r.w) / (c - r.v), x = w - y v, and refines with
+    the same elimination. When that misses the bound on a fresh LU (near a
+    singular J), one LU of the full bordered matrix solves it, and with
+    `nudge` that matrix plus 1e-10 I is the last resort. A fresh plain solve
+    that misses the bound is returned after its sweep, for Newton's residual
+    test to judge.
+
+    Counts: `factorizations` (every LU this solver made, full bordered ones
+    included), `refactors` (LUs made because refinement on a kept LU fell
+    short), `refinements` (sweeps) and `fallbacks` (full bordered LUs).
     """
 
-    def __init__(self, J):
+    def __init__(self, J=None):
+        self.J = self.lu = self.error = None
+        self.fresh = True
+        self.factorizations = self.refactors = self.refinements = 0
+        self.fallbacks = 0
+        if J is not None:
+            self.factor(J)
+
+    def factor(self, J):
+        self._set(J)
+        self._factor()
+
+    def update(self, J):
+        if self.lu is None:
+            self.factor(J)
+        else:
+            self._set(J)
+            self.fresh = False
+
+    def _set(self, J):
         self.J = sp.csc_matrix(J)
-        self.refinements = self.fallbacks = 0
+        self._j_norm = spla.norm(self.J, np.inf)
+
+    def _factor(self):
+        self.factorizations += 1
+        self.fresh = True
+        self.lu = None                       # never hold two LUs at once
         try:
             self.lu, self.error = factorize(self.J), None
         except RuntimeError as exc:          # SuperLU: exactly singular
             self.lu, self.error = None, exc
 
+    def _refactor(self):
+        self.refactors += 1
+        self._factor()
+
+    def _refine(self, z, residual, correct, a_norm, b_norm):
+        """(z, accepted): z refined by `z += correct(residual(z))` sweeps,
+        accepted once its backward error is at most BACKWARD_TOL."""
+        cap = 1 if self.fresh else MAX_SWEEPS
+        last = np.inf
+        for sweep in range(cap + 1):
+            res = residual(z)
+            err = np.max(np.abs(res))
+            eta = err / (a_norm * np.max(np.abs(z)) + b_norm) if err else 0.0
+            if eta <= BACKWARD_TOL:
+                return z, True
+            if sweep == cap or not eta <= 0.5 * last:    # also NaN
+                return z, False
+            last = eta
+            self.refinements += 1
+            z = z + correct(res)
+
     def solve(self, f):
-        if self.lu is None:
-            raise RuntimeError(f"cannot solve with a singular matrix: {self.error}")
-        return self.lu.solve(np.asarray(f, dtype=float))
+        f = np.asarray(f, dtype=float)
+        b_norm = np.max(np.abs(f))
+        while True:
+            if self.lu is None:
+                raise RuntimeError(f"cannot solve with a singular matrix: {self.error}")
+            x, ok = self._refine(self.lu.solve(f), lambda z: f - self.J @ z,
+                                 self.lu.solve, self._j_norm, b_norm)
+            if ok or self.fresh:
+                return x
+            self._refactor()
 
     def solve_bordered(self, g, r, c, f, h, nudge=False):
         """Returns (x, y); raises RuntimeError when every fallback fails."""
-        if self.lu is not None:
+        g, r, f = (np.asarray(a, dtype=float) for a in (g, r, f))
+        n = len(f)
+        a_norm = max(self._j_norm + np.max(np.abs(g)), np.sum(np.abs(r)) + abs(c))
+        b_norm = max(np.max(np.abs(f)), abs(h))
+
+        def residual(z):
+            x, y = z[:n], z[n]
+            return np.append(f - (self.J @ x + g * y), h - (float(r @ x) + c * y))
+
+        while self.lu is not None:
             vw = self.lu.solve(np.column_stack([g, f]))
             v = vw[:, 0]
             s = c - float(r @ v)
             if s != 0.0 and np.isfinite(s):
-                a_norm = max(spla.norm(self.J, np.inf) + np.max(np.abs(g)),
-                             np.sum(np.abs(r)) + abs(c))
-                b_norm = max(np.max(np.abs(f)), abs(h))
-                x, y = _eliminate(v, s, vw[:, 1], r, h)
-                for refine in (True, False):
-                    rx = f - (self.J @ x + g * y)
-                    ry = h - (float(r @ x) + c * y)
-                    err = max(np.max(np.abs(rx)), abs(ry))
-                    if not np.isfinite(err):
-                        break
-                    if err <= BACKWARD_TOL * (a_norm * max(np.max(np.abs(x)), abs(y))
-                                              + b_norm):
-                        return x, y
-                    if refine:
-                        self.refinements += 1
-                        dx, dy = _eliminate(v, s, self.lu.solve(rx), r, ry)
-                        x, y = x + dx, y + dy
+                z, ok = self._refine(
+                    _eliminate(v, s, vw[:, 1], r, h), residual,
+                    lambda res: _eliminate(v, s, self.lu.solve(res[:n]), r, res[n]),
+                    a_norm, b_norm)
+                if ok:
+                    return z[:n], float(z[n])
+            if self.fresh:
+                break
+            self._refactor()
         return self._solve_full(g, r, c, f, h, nudge)
 
     def _solve_full(self, g, r, c, f, h, nudge):
         n = len(f)
-        A = sp.bmat([[self.J, sp.csc_matrix(np.asarray(g, dtype=float)[:, None])],
-                     [sp.csr_matrix(np.asarray(r, dtype=float)[None, :]),
-                      sp.csr_matrix([[c]])]],
+        A = sp.bmat([[self.J, sp.csc_matrix(g[:, None])],
+                     [sp.csr_matrix(r[None, :]), sp.csr_matrix([[c]])]],
                     format="csc")
         rhs = np.append(f, h)
         self.fallbacks += 1
         for shift in (0.0, NUDGE) if nudge else (0.0,):
+            self.factorizations += 1
             try:
                 z = factorize(A + shift * sp.eye(n + 1, format="csc")).solve(rhs)
             except RuntimeError:
@@ -248,45 +329,68 @@ class BorderedSolver:
 
 
 def _eliminate(v, s, w, r, h):
+    """[x; y] from the elimination of the border, given w = J^-1 f."""
     y = (h - float(r @ w)) / s
-    return w - y * v, y
+    return np.append(w - y * v, y)
 
 
 def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
-    """Full-step Newton on the residual; returns a NewtonResult."""
+    """Full-step Newton on the residual; returns a NewtonResult.
+
+    Iteration 0 factors its Jacobian and later iterations solve with that LU
+    refined against their own Jacobian (`BorderedSolver.update`), so every
+    update is an exact Newton step to the solver's backward-error bound. The
+    result carries the solver, for a tangent at the converged state to
+    start from the same LU, and its counts at return.
+    """
     if work is None:
         work = FemWorkspace(mesh, prob)
     u = np.array(u0, dtype=float, copy=True)
     if u.shape != (mesh.num_nodes,):
         raise ValueError("initial guess length does not match node count")
+    solver = BorderedSolver()
+
+    def result(k, res_norm, converged):
+        return NewtonResult(u, k, res_norm, converged, solver,
+                            solver.factorizations, solver.refinements)
+
     res_norm = np.inf
     for k in range(max_it + 1):
         G = work.residual(u, prob)
         res_norm = float(np.max(np.abs(G))) if G.size else 0.0
         if res_norm <= tol:
-            return NewtonResult(u, k, res_norm, True)
+            return result(k, res_norm, True)
         if k == max_it:
             break
         J = work.jacobian(u, prob)
         try:
-            du = BorderedSolver(J).solve(-G)
+            solver.update(J)                 # factors at iteration 0
+            du = solver.solve(-G)
         except Exception as exc:
             logger.warning("Newton linear solve failed: %s", exc)
-            return NewtonResult(u, k, res_norm, False)
+            return result(k, res_norm, False)
         if not np.all(np.isfinite(du)):
             logger.warning("Newton produced non-finite update (singular Jacobian?)")
-            return NewtonResult(u, k, res_norm, False)
+            return result(k, res_norm, False)
         u += du
-    return NewtonResult(u, max_it, res_norm, False)
+    return result(max_it, res_norm, False)
 
 
-def compute_tangent(work, u, prob, prev_tangent):
+def compute_tangent(work, u, prob, prev_tangent, solver=None):
     """Unit branch tangent from the bordered system, oriented along the
-    previous tangent."""
+    previous tangent.
+
+    `solver`, when given, holds the LU of a nearby Jacobian, the corrector's
+    or Newton's at the same step; the tangent solve then refines with it
+    (`BorderedSolver.update`) and factors only when refinement does not
+    reach the bound.
+    """
     n = len(u)
     tu_prev, tp_prev = prev_tangent[:n], float(prev_tangent[n])
     row_u, row_p = work.border(tu_prev, tp_prev)
-    solver = BorderedSolver(work.jacobian(u, prob))
+    if solver is None:
+        solver = BorderedSolver()
+    solver.update(work.jacobian(u, prob))
     try:
         # exactly at a branch point the bordered matrix is singular: nudge
         x, y = solver.solve_bordered(work.dresidual_dparam(u, prob), row_u,
@@ -304,14 +408,24 @@ def compute_tangent(work, u, prob, prev_tangent):
     return t
 
 
-def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol, max_it):
-    """Newton on the extended system {G = 0, <t, x - base> = ds}."""
+def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
+             max_it, solver=None):
+    """Newton on the extended system {G = 0, <t, x - base> = ds}.
+
+    Iteration 0 factors its Jacobian into `solver` (a new BorderedSolver when
+    none is given); later iterations keep that LU and refine against their
+    own Jacobian, so each is still an exact Newton step and the iteration
+    counts are those of factoring every Jacobian. A caller that passes
+    `solver` can reuse the last LU and read the counts.
+    """
     n = len(u_pred)
     tu, tp = tangent[:n], float(tangent[n])
     row_u, row_p = work.border(tu, tp)
     u = np.array(u_pred, dtype=float, copy=True)
     p = float(p_pred)
     pr = prob.copy()
+    if solver is None:
+        solver = BorderedSolver()
     iters = 0
     for k in range(max_it + 1):
         pr.set_param(p)
@@ -321,8 +435,12 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol, max_i
             return u, p, k, True
         if k == max_it:
             break
-        solver = BorderedSolver(work.jacobian(u, pr))
+        J = work.jacobian(u, pr)
         try:
+            if k == 0:
+                solver.factor(J)
+            else:
+                solver.update(J)
             du, dp = solver.solve_bordered(work.dresidual_dparam(u, pr), row_u,
                                            row_p, -G, -r2)
         except Exception:
@@ -340,30 +458,38 @@ def cont_step(state, settings, work):
 
     Returns (new_state, info); new_state is None on permanent failure
     (stepsize underflow). On success the stepsize grows by 1.3 when the
-    corrector needed at most 3 Newton iterations.
+    corrector needed at most 3 Newton iterations. The tangent starts from
+    the corrector's LU. `info` counts the step's LUs (`factorizations`,
+    one per corrector attempt unless refinement stalls) and refinement
+    sweeps (`refinements`).
     """
     t = state.tangent
     n = len(state.u)
     base_u = state.u
     base_p = state.prob.get_param()
     ds = state.ds
+    solver = BorderedSolver()
     while True:
         u_pred = base_u + ds * t[:n]
         p_pred = base_p + ds * float(t[n])
         u, p, iters, ok = _correct(work, state.prob, u_pred, p_pred, base_u,
                                    base_p, t, ds, settings.newton_tol,
-                                   settings.newton_max_it)
+                                   settings.newton_max_it, solver)
         if ok:
             ds_next = min(ds * 1.3, settings.ds_max) if iters <= 3 else ds
             prob = state.prob.copy()
             prob.set_param(p)
             new_state = ContinuationState(state.mesh, u, prob, None,
                                           state.step_index + 1, ds_next)
-            new_state.tangent = compute_tangent(work, u, prob, t)
-            return new_state, {"ds_used": ds, "newton_iters": iters}
+            new_state.tangent = compute_tangent(work, u, prob, t, solver)
+            return new_state, {"ds_used": ds, "newton_iters": iters,
+                               "factorizations": solver.factorizations,
+                               "refinements": solver.refinements}
         ds *= 0.5
         if ds < settings.ds_min:
-            return None, {"reason": "stepsize underflow", "ds": ds}
+            return None, {"reason": "stepsize underflow", "ds": ds,
+                          "factorizations": solver.factorizations,
+                          "refinements": solver.refinements}
 
 
 def _reduced_pencil(work, u, prob):
@@ -582,9 +708,10 @@ def branch_switch(state, phi, settings, work=None, delta=None):
     p0 = state.prob.get_param()
     for trial in (delta, -delta, 2.0 * delta):
         u_pred = state.u + trial * phi
+        solver = BorderedSolver()
         u, p, _, ok = _correct(work, state.prob, u_pred, p0, u_pred, p0,
                                t, 0.0, settings.newton_tol,
-                               settings.newton_max_it)
+                               settings.newton_max_it, solver)
         if not ok:
             continue
         if float(np.max(np.abs(u - state.u))) <= 10.0 * settings.newton_tol:
@@ -593,7 +720,7 @@ def branch_switch(state, phi, settings, work=None, delta=None):
         prob.set_param(p)
         new_state = ContinuationState(state.mesh, u, prob, None, 0, settings.ds0)
         sign = 1.0 if trial > 0 else -1.0
-        new_state.tangent = compute_tangent(work, u, prob, sign * t)
+        new_state.tangent = compute_tangent(work, u, prob, sign * t, solver)
         return new_state
     raise ContinuationError("branch switching failed: corrector kept returning "
                             "to the known branch")
@@ -616,6 +743,11 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
             logger.warning("mesh adaptation failed (%s); continuing on the "
                            "previous mesh", exc)
             return state, records, work, False
+        # interpolated first: its temporaries are freed before Newton's LU,
+        # which the tangent below reuses, is made
+        tangent_guess = np.concatenate([
+            interpolate(cur.mesh, cur.tangent[:len(cur.u)], mesh2),
+            [cur.tangent[-1]]])
         work2 = FemWorkspace(mesh2, cur.prob)
         result = newton_solve(mesh2, u2, cur.prob, settings.newton_tol,
                               settings.newton_max_it, work2)
@@ -623,13 +755,11 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
             logger.warning("Newton failed after mesh adaptation (residual %g); "
                            "continuing on the previous mesh", result.residual_norm)
             return state, records, work, False
-        tangent_guess = np.concatenate([
-            interpolate(cur.mesh, cur.tangent[:len(cur.u)], mesh2),
-            [cur.tangent[-1]]])
         cur = ContinuationState(mesh2, result.u, cur.prob.copy(), None,
                                 cur.step_index, cur.ds)
         cur_work = work2
-        cur.tangent = compute_tangent(work2, cur.u, cur.prob, tangent_guess)
+        cur.tangent = compute_tangent(work2, cur.u, cur.prob, tangent_guess,
+                                      result.solver)
     n_neg = stability_index(cur.mesh, cur.u, cur.prob, cur_work) \
         if with_n_neg else None
     records.append(make_record(cur, cur_work, n_neg=n_neg, flag="ADAPT"))
@@ -655,7 +785,9 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
     if state.tangent is None:
         seed = np.zeros(len(state.u) + 1)
         seed[-1] = 1.0 if direction >= 0 else -1.0
-        state.tangent = compute_tangent(work, state.u, state.prob, seed)
+        state.tangent = compute_tangent(work, state.u, state.prob, seed,
+                                        result.solver)
+    del result                  # frees Newton's LU before the run goes on
     records = []
     events = []
 

@@ -177,7 +177,7 @@ def unique_edges(elements):
     pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
     raw = np.concatenate([elements[:, p] for p in pairs], axis=0)
     raw.sort(axis=1)
-    return np.unique(raw, axis=0)
+    return _unique_rows(raw, int(raw.max()) + 1 if raw.size else 1)[0]
 
 
 def _sym_linspace(extent, n):
@@ -203,6 +203,14 @@ def _facet_keys(rows, n_nodes):
         key *= n_nodes
         key += rows[:, k]
     return key
+
+
+def _unique_rows(rows, n_nodes):
+    """`np.unique(rows, axis=0, return_inverse=True)` for rows of sorted
+    node ids below `n_nodes`, from one int64 key per row."""
+    _, first, inverse = np.unique(_facet_keys(rows, n_nodes), return_index=True,
+                                  return_inverse=True)
+    return rows[first], inverse
 
 
 def facet_topology(elements, n_nodes):
@@ -241,8 +249,12 @@ def _node_flags(n_nodes, facets, segs):
     member = np.zeros((n_nodes, len(seg_ids)), dtype=bool)
     for j in range(facets.shape[1]):
         member[facets[:, j], col] = True
-    patterns, which = np.unique(member, axis=0, return_inverse=True)
-    sets = [frozenset(seg_ids[row].tolist()) for row in patterns]
+    # each row as the bits of one key, first column most significant
+    if len(seg_ids) >= 63:
+        raise ValueError(f"{len(seg_ids)} segment ids overflow the int64 flag keys")
+    bits = np.int64(1) << np.arange(len(seg_ids) - 1, -1, -1, dtype=np.int64)
+    patterns, which = np.unique(member @ bits, return_inverse=True)
+    sets = [frozenset(seg_ids[(key & bits) != 0].tolist()) for key in patterns]
     return [sets[k] for k in which.ravel()], seg_ids, member
 
 

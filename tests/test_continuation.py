@@ -556,6 +556,145 @@ class TestBorderedSolver:
         np.testing.assert_allclose(np.append(x, y), [2.0, 4.0, 3.0])
 
 
+def newton_path(work, u, prob, scale=1.05):
+    """Newton iterates (spsolve, no reuse) from `scale * u` back to the
+    solution, the solution included."""
+    its = [scale * u]
+    G = work.residual(its[-1], prob)
+    while np.abs(G).max() > 1e-10:
+        its.append(its[-1] + spla.spsolve(work.jacobian(its[-1], prob).tocsc(), -G))
+        G = work.residual(its[-1], prob)
+        assert len(its) < 10
+    return its
+
+
+class TestReusedFactorization:
+    """Solves on the LU of the previous Newton iterate's Jacobian, as the
+    later Newton iterations and the tangent do."""
+
+    @pytest.mark.parametrize("state", ["cos_state", "switched_state",
+                                       "spot3d_state"])
+    def test_matches_dense_and_fresh_solves(self, state, request):
+        m, u, prob = request.getfixturevalue(state)
+        work = ct.FemWorkspace(m, prob)
+        n = m.num_nodes
+        rng = np.random.default_rng(7)
+        g = work.dresidual_dparam(u, prob)
+        r, c = work.border(rng.standard_normal(n), 0.3)
+        f, h = rng.standard_normal(n), 0.7
+        its = newton_path(work, u, prob)
+        assert len(its) >= 3
+        for prev, cur in zip(its, its[1:]):
+            J = work.jacobian(cur, prob)
+            plain, bordered = (ct.BorderedSolver(work.jacobian(prev, prob))
+                               for _ in range(2))
+            plain.update(J)
+            bordered.update(J)
+            fresh = ct.BorderedSolver(J)
+            for A, got, ref, rhs in (
+                    (J.toarray(), plain.solve(f), fresh.solve(f), f),
+                    (bordered_dense(J, g, r, c),
+                     np.append(*bordered.solve_bordered(g, r, c, f, h)),
+                     np.append(*fresh.solve_bordered(g, r, c, f, h)),
+                     np.append(f, h))):
+                want = np.linalg.solve(A, rhs)
+                # a kept LU stops refining at the backward-error bound, so
+                # its forward error may reach cond(A) times that bound
+                tol = max(1e-10, 2 * np.linalg.cond(A, np.inf) * ct.BACKWARD_TOL)
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+                assert np.abs(got - ref).max() <= tol * np.abs(want).max()
+                backward = np.abs(rhs - A @ got).max() / (
+                    np.abs(A).sum(axis=1).max() * np.abs(got).max()
+                    + np.abs(rhs).max())
+                assert backward <= ct.BACKWARD_TOL
+        # the last step is the tangent's, from the last iterate to the
+        # solution: refinement alone does it
+        for solver in (plain, bordered):
+            assert solver.refinements > 0
+            assert solver.refactors == 0 and solver.factorizations == 1
+
+    def test_far_matrix_refactors_once(self, cos_state):
+        m, u, prob = cos_state
+        work = ct.FemWorkspace(m, prob)
+        J = work.jacobian(u, prob)
+        far = prob.copy()
+        far.lam = 5.0
+        J_far = work.jacobian(np.zeros(m.num_nodes), far)
+        rng = np.random.default_rng(8)
+        n = m.num_nodes
+        g = work.dresidual_dparam(u, prob)
+        r, c = work.border(rng.standard_normal(n), 0.3)
+        f, h = rng.standard_normal(n), 0.7
+        solver = ct.BorderedSolver(J_far)
+        solver.update(J)
+        x = solver.solve(f)
+        assert solver.refactors == 1 and solver.factorizations == 2
+        assert solver.fresh
+        want = np.linalg.solve(J.toarray(), f)
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+        solver = ct.BorderedSolver(J_far)
+        solver.update(J)
+        z = np.append(*solver.solve_bordered(g, r, c, f, h))
+        assert solver.refactors == 1 and solver.factorizations == 2
+        assert solver.fallbacks == 0
+        want = np.linalg.solve(bordered_dense(J, g, r, c), np.append(f, h))
+        assert np.abs(z - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_one_factorization_per_step(self, switched_state, monkeypatch):
+        m, u, prob = switched_state
+        work = ct.FemWorkspace(m, prob)
+        state = ct.ContinuationState(m, u, prob, ds=0.05)
+        # oriented away from the trivial branch
+        state.tangent = ct.compute_tangent(work, u, prob, np.append(u, 0.0))
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.05,
+                                           bif_detection=False)
+        calls = []
+        real = ct.factorize
+
+        def counted(A, **kwargs):
+            calls.append(A.shape)
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(ct, "factorize", counted)
+        new_state, info = ct.cont_step(state, settings, work)
+        assert new_state is not None
+        assert info["newton_iters"] >= 2 and info["ds_used"] == 0.05
+        assert len(calls) == 1 and info["factorizations"] == 1
+        assert info["refinements"] > 0
+
+    def test_newton_factors_once(self, spot3d_state):
+        m, u, prob = spot3d_state
+        res = ct.newton_solve(m, 1.05 * u, prob)
+        assert res.converged and res.iterations >= 2
+        assert res.factorizations == 1 and res.refinements > 0
+        assert res.factorizations == res.solver.factorizations
+
+
+class TestJacobianMemo:
+    def test_same_state_assembles_once(self, cos_state, monkeypatch):
+        m, u, prob = cos_state
+        work = ct.FemWorkspace(m, prob)
+        calls = []
+        real = ct.fem.jacobian
+        monkeypatch.setattr(ct.fem, "jacobian",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        v = u.copy()
+        J = work.jacobian(v, prob)
+        assert work.jacobian(v.copy(), prob.copy()) is J
+        assert len(calls) == 1
+        v[3] += 1e-3                        # in place, as Newton updates u
+        J2 = work.jacobian(v, prob)
+        assert J2 is not J and len(calls) == 2
+        pr = prob.copy()
+        for name, value in (("lambda", 0.1), ("gamma", 2.0), ("c", 0.5),
+                            ("d", 0.3)):
+            pr.set_param(value, name)
+            assert work.jacobian(v, pr) is not J2
+        assert len(calls) == 6
+        assert np.array_equal(work.jacobian(v, pr).toarray(),
+                              real(m, v, pr).toarray())
+
+
 def old_compute_tangent(work, u, prob, prev_tangent):
     """The tangent solve before the bordered solver: sp.bmat + spsolve."""
     n = len(u)

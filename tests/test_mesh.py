@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisocont as ac
-from anisocont.mesh import (_derive_boundary, _Locator, facet_topology, quality,
-                            segment_table, signed_volumes, unique_edges)
+from anisocont.mesh import (_derive_boundary, _Locator, _node_flags, _unique_rows,
+                            facet_topology, quality, segment_table,
+                            signed_volumes, unique_edges)
 
 
 class TestRectMesh:
@@ -455,6 +456,76 @@ class TestFacetTopology:
         nodes[1, 1] += 0.25         # bottom edge midpoint leaves the bottom face
         with pytest.raises(ValueError, match="not on a unique box face"):
             _derive_boundary(2, nodes, m.elements, m.box)
+
+
+# The axis-0 `np.unique` calls the integer keys replaced: the reference
+# they are checked against.
+
+def _oracle_unique_edges(elements):
+    nv = elements.shape[1]
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    raw = np.concatenate([elements[:, p] for p in pairs], axis=0)
+    raw.sort(axis=1)
+    return np.unique(raw, axis=0)
+
+
+def _oracle_node_flags(n_nodes, facets, segs):
+    seg_ids, col = np.unique(segs, return_inverse=True)
+    member = np.zeros((n_nodes, len(seg_ids)), dtype=bool)
+    for j in range(facets.shape[1]):
+        member[facets[:, j], col] = True
+    patterns, which = np.unique(member, axis=0, return_inverse=True)
+    sets = [frozenset(seg_ids[row].tolist()) for row in patterns]
+    return [sets[k] for k in which.ravel()], seg_ids, member
+
+
+def _assert_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestIntegerKeyUniques:
+    def test_unique_edges_match_axis0(self, kernel_mesh):
+        elements = kernel_mesh.elements
+        _assert_identical(unique_edges(elements), _oracle_unique_edges(elements))
+        _assert_identical(unique_edges(elements.astype(np.int32)),
+                          _oracle_unique_edges(elements.astype(np.int32)))
+
+    def test_unique_rows_match_axis0(self, kernel_mesh):
+        m = kernel_mesh
+        # every element's two lowest node ids, with repeats
+        rows = np.sort(m.elements, axis=1)[:, :2]
+        got, inverse = _unique_rows(rows, m.num_nodes)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        _assert_identical(got, want)
+        _assert_identical(inverse, want_inverse)
+
+    def test_node_flags_match_axis0(self, kernel_mesh):
+        m = kernel_mesh
+        got = _node_flags(m.num_nodes, m.boundary_facets, m.facet_segments)
+        want = _oracle_node_flags(m.num_nodes, m.boundary_facets,
+                                  m.facet_segments)
+        assert got[0] == want[0]
+        assert all(type(s) is int for f in got[0] for s in f)
+        _assert_identical(got[1], want[1])
+        _assert_identical(got[2], want[2])
+
+    def test_empty(self):
+        for nv in (3, 4):
+            elements = np.zeros((0, nv), dtype=np.int64)
+            _assert_identical(unique_edges(elements),
+                              _oracle_unique_edges(elements))
+        rows = np.zeros((0, 2), dtype=np.int64)
+        got, inverse = _unique_rows(rows, 5)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        _assert_identical(got, want)
+        _assert_identical(inverse, want_inverse)
+        facets, segs = np.zeros((0, 2), dtype=np.int64), np.zeros(0, np.int64)
+        for n_nodes in (0, 4):
+            got = _node_flags(n_nodes, facets, segs)
+            want = _oracle_node_flags(n_nodes, facets, segs)
+            assert got[0] == want[0]
+            _assert_identical(got[2], want[2])
 
 
 # The scalar quality functions the batched kernel replaced: the reference it
