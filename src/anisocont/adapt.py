@@ -371,8 +371,14 @@ def refine_pass(mesh, u, psi, opts):
     segs = np.asarray(mesh.facet_segments, dtype=np.int64)
     n_split = 0
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
-        lens = np.column_stack([edge_lengths(coords, tensors, elems[:, [i, j]])
-                                for i, j in pairs])
+        # one length per unique edge, keyed a * n + b for a < b (swapped
+        # endpoints give the same bits)
+        n = len(coords)
+        ends = elems[:, pairs]
+        keys, inverse = np.unique((ends.min(axis=2) * n + ends.max(axis=2)).ravel(),
+                                  return_inverse=True)
+        lens = edge_lengths(coords, tensors, np.column_stack(np.divmod(keys, n)))
+        lens = lens[inverse].reshape(len(elems), len(pairs))
         longest = lens.max(axis=1)
         viol = np.nonzero(longest > opts.l_up)[0]
         if viol.size == 0:

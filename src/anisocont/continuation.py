@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -117,7 +118,9 @@ class RunResult:
 
 
 class FemWorkspace:
-    """Caches the mesh-bound matrices used by repeated residual/Jacobian calls."""
+    """Caches the mesh-bound matrices used by repeated residual/Jacobian calls,
+    and `solver`, the one BorderedSolver whose LU every solve with this
+    mesh's Jacobian refines on (README, "Linear solves")."""
 
     def __init__(self, mesh, prob):
         self.mesh = mesh
@@ -129,6 +132,7 @@ class FemWorkspace:
         self.free[self.dir_idx] = False
         self._K_cache = (None, None)
         self._J_cache = (None, None, None)
+        self.solver = BorderedSolver()
 
     def K(self, c):
         if self._K_cache[0] != c:
@@ -150,6 +154,11 @@ class FemWorkspace:
                              dir_idx=self.dir_idx)
             self._J_cache = (np.array(u, dtype=float), key, J)
         return J
+
+    @cached_property
+    def M_free(self):
+        """The Dirichlet-reduced mass matrix, the eigensolves' B."""
+        return self.M[self.free][:, self.free].tocsc()
 
     def dresidual_dparam(self, u, prob):
         """Exact derivative of `residual` in the active parameter. Only the
@@ -200,9 +209,11 @@ class BorderedSolver:
     |b - A z| / (|A| |z| + |b|) is at most BACKWARD_TOL. On an LU of J
     itself one refinement sweep is allowed. On a kept LU refinement goes on
     while each sweep at least halves the error, for at most MAX_SWEEPS
-    sweeps; otherwise J is factored afresh (a refactor) and the solve starts
-    over on that LU. So a solve on a kept LU is as accurate as the bound
-    asks, and Newton iterations on it are exact Newton steps.
+    sweeps, and from the second sweep on only while the contraction seen so
+    far predicts reaching the bound within them; otherwise J is factored
+    afresh (a refactor) and the solve starts over on that LU. So a solve on
+    a kept LU is as accurate as the bound asks, and Newton iterations on it
+    are exact Newton steps.
 
     `solve_bordered(g, r, c, f, h)` solves [[J, g], [r', c]] [x; y] = [f; h]
     by block elimination with the LU: v = J^-1 g and w = J^-1 f (two
@@ -237,6 +248,10 @@ class BorderedSolver:
             self._set(J)
             self.fresh = False
 
+    def release(self):
+        """Drops J and the LU; the next `update` factors."""
+        self.J = self.lu = None
+
     def _set(self, J):
         self.J = sp.csc_matrix(J)
         self._j_norm = spla.norm(self.J, np.inf)
@@ -266,6 +281,10 @@ class BorderedSolver:
             if eta <= BACKWARD_TOL:
                 return z, True
             if sweep == cap or not eta <= 0.5 * last:    # also NaN
+                return z, False
+            # sweeps still needed at the contraction eta / last seen so far
+            if sweep >= 2 and sweep + (math.log(BACKWARD_TOL / eta)
+                                       / math.log(eta / last)) > MAX_SWEEPS:
                 return z, False
             last = eta
             self.refinements += 1
@@ -340,8 +359,9 @@ def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
     Iteration 0 factors its Jacobian and later iterations solve with that LU
     refined against their own Jacobian (`BorderedSolver.update`), so every
     update is an exact Newton step to the solver's backward-error bound. The
-    result carries the solver, for a tangent at the converged state to
-    start from the same LU, and its counts at return.
+    result carries the solver, for the caller to hand to the workspace
+    (`work.solver`) so the tangent and the steps that follow start from the
+    same LU, and its counts at return.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
@@ -380,10 +400,10 @@ def compute_tangent(work, u, prob, prev_tangent, solver=None):
     """Unit branch tangent from the bordered system, oriented along the
     previous tangent.
 
-    `solver`, when given, holds the LU of a nearby Jacobian, the corrector's
-    or Newton's at the same step; the tangent solve then refines with it
+    `solver`, when given, holds the LU of a nearby Jacobian, usually
+    `work.solver`; the tangent solve then refines with it
     (`BorderedSolver.update`) and factors only when refinement does not
-    reach the bound.
+    reach the bound. Without it the tangent factors its own Jacobian.
     """
     n = len(u)
     tu_prev, tp_prev = prev_tangent[:n], float(prev_tangent[n])
@@ -409,14 +429,13 @@ def compute_tangent(work, u, prob, prev_tangent, solver=None):
 
 
 def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
-             max_it, solver=None):
+             max_it):
     """Newton on the extended system {G = 0, <t, x - base> = ds}.
 
-    Iteration 0 factors its Jacobian into `solver` (a new BorderedSolver when
-    none is given); later iterations keep that LU and refine against their
-    own Jacobian, so each is still an exact Newton step and the iteration
-    counts are those of factoring every Jacobian. A caller that passes
-    `solver` can reuse the last LU and read the counts.
+    Every iteration solves with the workspace's LU (`work.solver`), refined
+    against its own Jacobian (`BorderedSolver.update`, which factors when no
+    LU is held), so each is still an exact Newton step and the iteration
+    counts are those of factoring every Jacobian.
     """
     n = len(u_pred)
     tu, tp = tangent[:n], float(tangent[n])
@@ -424,8 +443,7 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
     u = np.array(u_pred, dtype=float, copy=True)
     p = float(p_pred)
     pr = prob.copy()
-    if solver is None:
-        solver = BorderedSolver()
+    solver = work.solver
     iters = 0
     for k in range(max_it + 1):
         pr.set_param(p)
@@ -437,10 +455,7 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
             break
         J = work.jacobian(u, pr)
         try:
-            if k == 0:
-                solver.factor(J)
-            else:
-                solver.update(J)
+            solver.update(J)
             du, dp = solver.solve_bordered(work.dresidual_dparam(u, pr), row_u,
                                            row_p, -G, -r2)
         except Exception:
@@ -458,23 +473,30 @@ def cont_step(state, settings, work):
 
     Returns (new_state, info); new_state is None on permanent failure
     (stepsize underflow). On success the stepsize grows by 1.3 when the
-    corrector needed at most 3 Newton iterations. The tangent starts from
-    the corrector's LU. `info` counts the step's LUs (`factorizations`,
-    one per corrector attempt unless refinement stalls) and refinement
-    sweeps (`refinements`).
+    corrector needed at most 3 Newton iterations. Every corrector attempt
+    and the tangent refine on the workspace's LU (`work.solver`), which
+    factors only when it holds none or refinement would miss its bound.
+    `info` counts the LUs (`factorizations`) and refinement sweeps
+    (`refinements`) of this step.
     """
     t = state.tangent
     n = len(state.u)
     base_u = state.u
     base_p = state.prob.get_param()
     ds = state.ds
-    solver = BorderedSolver()
+    solver = work.solver
+    start = solver.factorizations, solver.refinements
+
+    def counts():
+        return {"factorizations": solver.factorizations - start[0],
+                "refinements": solver.refinements - start[1]}
+
     while True:
         u_pred = base_u + ds * t[:n]
         p_pred = base_p + ds * float(t[n])
         u, p, iters, ok = _correct(work, state.prob, u_pred, p_pred, base_u,
                                    base_p, t, ds, settings.newton_tol,
-                                   settings.newton_max_it, solver)
+                                   settings.newton_max_it)
         if ok:
             ds_next = min(ds * 1.3, settings.ds_max) if iters <= 3 else ds
             prob = state.prob.copy()
@@ -482,23 +504,19 @@ def cont_step(state, settings, work):
             new_state = ContinuationState(state.mesh, u, prob, None,
                                           state.step_index + 1, ds_next)
             new_state.tangent = compute_tangent(work, u, prob, t, solver)
-            return new_state, {"ds_used": ds, "newton_iters": iters,
-                               "factorizations": solver.factorizations,
-                               "refinements": solver.refinements}
+            return new_state, {"ds_used": ds, "newton_iters": iters, **counts()}
         ds *= 0.5
         if ds < settings.ds_min:
-            return None, {"reason": "stepsize underflow", "ds": ds,
-                          "factorizations": solver.factorizations,
-                          "refinements": solver.refinements}
+            return None, {"reason": "stepsize underflow", "ds": ds, **counts()}
 
 
-def _reduced_pencil(work, u, prob):
+def _reduced_symmetric(work, u, prob):
+    """A, the symmetric part of the Dirichlet-reduced Jacobian; the pencil's
+    B is `work.M_free`."""
     J = work.jacobian(u, prob)
     free = work.free
     A = J[free][:, free]
-    A = (A + A.T) * 0.5
-    B = work.M[free][:, free]
-    return A.tocsc(), B.tocsc()
+    return ((A + A.T) * 0.5).tocsc()
 
 
 def _shift_invert(A):
@@ -526,10 +544,15 @@ def stability_index(mesh, u, prob, work=None):
     of at most BACKWARD_TOL. Otherwise, and when SuperLU finds A exactly
     singular, a warning names the reason and shift-invert Lanczos counts the
     eigenvalues instead. Returns None when that fallback fails too.
+
+    The count first releases the workspace's LU (`work.solver`), so the
+    workspace never holds it beside the count's own: with detection on,
+    the next solve factors afresh, as each step did before the LU was kept.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
-    A, B = _reduced_pencil(work, u, prob)
+    work.solver.release()            # one LU at a time
+    A = _reduced_symmetric(work, u, prob)
     n = A.shape[0]
     if n == 0:
         return 0
@@ -538,7 +561,7 @@ def stability_index(mesh, u, prob, work=None):
         return count
     logger.warning("inertia count rejected (%s); counting eigenvalues by "
                    "shift-invert", reason)
-    return _shift_invert_count(A, B)
+    return _shift_invert_count(A, work.M_free)
 
 
 def _inertia(A):
@@ -597,7 +620,7 @@ def critical_eigenpair(mesh, u, prob, work=None):
     eigensolve fails."""
     if work is None:
         work = FemWorkspace(mesh, prob)
-    A, B = _reduced_pencil(work, u, prob)
+    A, B = _reduced_symmetric(work, u, prob), work.M_free
     n = A.shape[0]
     try:
         if n <= DENSE_EIG_LIMIT:
@@ -708,10 +731,9 @@ def branch_switch(state, phi, settings, work=None, delta=None):
     p0 = state.prob.get_param()
     for trial in (delta, -delta, 2.0 * delta):
         u_pred = state.u + trial * phi
-        solver = BorderedSolver()
         u, p, _, ok = _correct(work, state.prob, u_pred, p0, u_pred, p0,
                                t, 0.0, settings.newton_tol,
-                               settings.newton_max_it, solver)
+                               settings.newton_max_it)
         if not ok:
             continue
         if float(np.max(np.abs(u - state.u))) <= 10.0 * settings.newton_tol:
@@ -720,23 +742,32 @@ def branch_switch(state, phi, settings, work=None, delta=None):
         prob.set_param(p)
         new_state = ContinuationState(state.mesh, u, prob, None, 0, settings.ds0)
         sign = 1.0 if trial > 0 else -1.0
-        new_state.tangent = compute_tangent(work, u, prob, sign * t, solver)
+        new_state.tangent = compute_tangent(work, u, prob, sign * t,
+                                            work.solver)
         return new_state
     raise ContinuationError("branch switching failed: corrector kept returning "
                             "to the known branch")
 
 
 def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
-                  with_n_neg=False):
+                  with_n_neg=False, n_neg=None):
     """Adapt the mesh and re-solve, `ngen` times; emits branch records before
     and after so jumps across the adaptation are measurable. Rolls back to the
     pre-adaptation state when the adaptation raises AdaptationError or Newton
-    fails on the new mesh."""
-    n_neg = stability_index(state.mesh, state.u, state.prob, work) \
-        if with_n_neg else None
+    fails on the new mesh.
+
+    `n_neg` is the stability index of `state` when the caller has it; with
+    `with_n_neg` a missing one is computed, and so is the re-solved state's.
+    Each workspace left behind drops its LU before the adaptation, so the old
+    mesh's LU is never alive beside the new mesh's assembly and LU; the new
+    workspace takes Newton's solver.
+    """
+    if with_n_neg and n_neg is None:
+        n_neg = stability_index(state.mesh, state.u, state.prob, work)
     records = [make_record(state, work, n_neg=n_neg, flag=pre_flag)]
     cur, cur_work = state, work
     for _ in range(settings.ngen):
+        cur_work.solver.release()
         try:
             mesh2, u2, _ = two_step_adapt(cur.mesh, cur.u, trop, trcop)
         except AdaptationError as exc:
@@ -758,8 +789,9 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
         cur = ContinuationState(mesh2, result.u, cur.prob.copy(), None,
                                 cur.step_index, cur.ds)
         cur_work = work2
+        work2.solver = result.solver
         cur.tangent = compute_tangent(work2, cur.u, cur.prob, tangent_guess,
-                                      result.solver)
+                                      work2.solver)
     n_neg = stability_index(cur.mesh, cur.u, cur.prob, cur_work) \
         if with_n_neg else None
     records.append(make_record(cur, cur_work, n_neg=n_neg, flag="ADAPT"))
@@ -782,12 +814,12 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
                      result.residual_norm)
         return RunResult([], [], state, "initial newton failed")
     state = replace(state, u=result.u, ds=settings.ds0)
+    work.solver = result.solver
     if state.tangent is None:
         seed = np.zeros(len(state.u) + 1)
         seed[-1] = 1.0 if direction >= 0 else -1.0
         state.tangent = compute_tangent(work, state.u, state.prob, seed,
-                                        result.solver)
-    del result                  # frees Newton's LU before the run goes on
+                                        work.solver)
     records = []
     events = []
 
@@ -841,7 +873,7 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
             pre_state = state
             state, adapt_records, work, _ = adapt_in_cont(
                 state, settings, trop, trcop, work, pre_flag=flag,
-                with_n_neg=settings.bif_detection)
+                with_n_neg=settings.bif_detection, n_neg=n_neg)
             emit(adapt_records[0], pre_state)
             for rec in adapt_records[1:]:
                 emit(rec, state)

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,6 +130,20 @@ class TestStabilityIndex:
         for lam, expected in ((0.1, 0), (0.4, 1), (1.2, 4)):
             prob = cos_problem(d=0.0, lam=lam)
             assert ct.stability_index(m, np.zeros(m.num_nodes), prob) == expected
+
+    def test_reduced_mass_built_only_for_eigensolves(self):
+        m = cos_mesh(21, 11)
+        prob = cos_problem(d=0.0, lam=0.4)
+        work = ct.FemWorkspace(m, prob)
+        u = np.zeros(m.num_nodes)
+        assert ct.stability_index(m, u, prob, work) == 1
+        assert "M_free" not in vars(work)        # the inertia count needs none
+        ct.critical_eigenpair(m, u, prob, work)
+        B = work.M_free
+        ct.critical_eigenpair(m, u, prob, work)
+        assert work.M_free is B
+        free = work.free
+        assert (B != work.M[free][:, free]).nnz == 0
 
     def test_pivot_count_matches_eigh(self):
         # random sparse symmetric indefinite matrices, from diagonally
@@ -363,6 +378,66 @@ class TestAdaptInCont:
         G = ac.residual(final.mesh, final.u, final.prob)
         assert np.abs(G).max() <= settings.newton_tol
 
+
+    @staticmethod
+    def spot_run(monkeypatch, bif_detection, on_adapt=None):
+        """4 steps of the 17x9 spot problem adapting every 2 steps; returns
+        the result, the workspaces made in order and the stability counts."""
+        works, counts = [], []
+        real_work, real_count = ct.FemWorkspace, ct.stability_index
+        real_adapt = ct.two_step_adapt
+
+        def workspace(*args):
+            works.append(real_work(*args))
+            return works[-1]
+
+        def adapt(*args):
+            if on_adapt:
+                on_adapt(works)
+            return real_adapt(*args)
+
+        def count(mesh, u, prob, work):
+            n_neg = real_count(mesh, u, prob, work)
+            counts.append((u.copy(), work.solver.lu is None))
+            return n_neg
+
+        monkeypatch.setattr(ct, "FemWorkspace", workspace)
+        monkeypatch.setattr(ct, "stability_index", count)
+        monkeypatch.setattr(ct, "two_step_adapt", adapt)
+        m = cos_mesh(17, 9)
+        prob = spot_problem_2d(xi=0.0)
+        trop = ac.AdaptOptions.for_dim(
+            2, eta_policy=metric.EtaPolicy.linear_in_np(1e-3))
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.08, nsteps=4,
+                                           amod=2, bif_detection=bif_detection)
+        state = ct.ContinuationState(m, np.zeros(m.num_nodes), prob, ds=0.05)
+        result = ct.run_continuation(state, settings, trop=trop)
+        assert [r.flag for r in result.records].count("ADAPT") == 2
+        return result, works, counts
+
+    def test_stability_counted_once_per_state(self, monkeypatch):
+        result, _, counts = self.spot_run(monkeypatch, bif_detection=True)
+        assert not result.events
+        # the start, 4 steps and the 2 re-solved states; the state before
+        # each adaptation keeps the count its step made
+        assert len(counts) == 7
+        assert len({u.tobytes() for u, _ in counts}) == 7
+        assert all(r.n_neg is not None for r in result.records)
+        # a count releases the workspace's LU: one LU at a time
+        assert all(released for _, released in counts)
+
+    def test_old_workspace_drops_its_lu_before_adapting(self, monkeypatch):
+        alive = []
+        result, works, _ = self.spot_run(
+            monkeypatch, bif_detection=False,
+            on_adapt=lambda ws: alive.append([w.solver.lu is not None
+                                              for w in ws]))
+        # no workspace holds an LU while the mesh adapts, and the
+        # pre-adaptation ones hold none afterwards
+        assert alive == [[False], [False, False]]
+        assert len(works) == 3
+        assert all(w.solver.lu is None for w in works[:-1])
+        assert works[-1].solver.lu is not None
 
 class TestSymmetry:
     def test_reflection_symmetric_solutions(self):
@@ -668,6 +743,104 @@ class TestReusedFactorization:
         assert res.converged and res.iterations >= 2
         assert res.factorizations == 1 and res.refinements > 0
         assert res.factorizations == res.solver.factorizations
+
+    @staticmethod
+    def spot_start():
+        """A solved 2D spot state with its tangent, and its workspace holding
+        Newton's LU, as `run_continuation` leaves them."""
+        m = cos_mesh(17, 9)
+        prob = spot_problem_2d(xi=0.0)
+        work = ct.FemWorkspace(m, prob)
+        res = ct.newton_solve(m, np.zeros(m.num_nodes), prob, work=work)
+        work.solver = res.solver
+        seed = np.zeros(m.num_nodes + 1)
+        seed[-1] = 1.0
+        tangent = ct.compute_tangent(work, res.u, prob, seed, work.solver)
+        return ct.ContinuationState(m, res.u, prob, tangent, 0, 0.05), work
+
+    def test_steps_keep_the_workspace_lu(self):
+        state, work = self.spot_start()
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.08,
+                                           bif_detection=False)
+        first, _ = ct.cont_step(state, settings, work)
+        total = work.solver.factorizations
+        second, info = ct.cont_step(first, settings, work)
+        # counts are the step's own, not the solver's running totals
+        assert info["factorizations"] == 0 and total >= 1
+        assert work.solver.factorizations == total
+        assert info["refinements"] > 0 and info["newton_iters"] >= 2
+        fresh_work = ct.FemWorkspace(state.mesh, state.prob)
+        fresh, fresh_info = ct.cont_step(first, settings, fresh_work)
+        assert fresh_info["factorizations"] == 1
+        assert fresh_info["newton_iters"] == info["newton_iters"]
+        assert np.abs(second.u - fresh.u).max() <= 1e-10 * np.abs(fresh.u).max()
+        p, p_fresh = second.prob.get_param(), fresh.prob.get_param()
+        assert abs(p - p_fresh) <= 1e-10 * max(1.0, abs(p_fresh))
+        assert np.abs(second.tangent - fresh.tangent).max() <= 1e-10
+
+    def test_ds_halving_retry_keeps_the_lu(self, monkeypatch):
+        state, work = self.spot_start()
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.3,
+                                           newton_max_it=2,
+                                           bif_detection=False)
+        attempts = []
+        real = ct._correct
+
+        def counted(*args):
+            before = work.solver.factorizations
+            out = real(*args)
+            attempts.append((out[3], work.solver.factorizations - before))
+            return out
+
+        monkeypatch.setattr(ct, "_correct", counted)
+        new_state, info = ct.cont_step(replace(state, ds=0.3), settings, work)
+        assert new_state is not None and info["ds_used"] < 0.3
+        # failed attempts, then one that converged; the retries start from
+        # the LU the attempt before them left, and factor nothing
+        assert len(attempts) >= 2
+        assert [ok for ok, _ in attempts] == [False] * (len(attempts) - 1) + [True]
+        assert all(lus == 0 for _, lus in attempts[1:])
+        assert info["factorizations"] == attempts[0][1] <= 1
+
+    def test_slow_contraction_refactors_early(self, cos_state, monkeypatch):
+        """A kept LU on which refinement contracts, but too slowly to reach
+        the bound within MAX_SWEEPS, is refactored after two sweeps."""
+        m, u, prob = cos_state
+        work = ct.FemWorkspace(m, prob)
+        J = work.jacobian(u, prob)
+        far = prob.copy()
+        far.lam = -0.1                       # prob.lam is -0.2
+        J_far = work.jacobian(u, far)
+        rng = np.random.default_rng(8)
+        n = m.num_nodes
+        g = work.dresidual_dparam(u, prob)
+        r, c = work.border(rng.standard_normal(n), 0.3)
+        f, h = rng.standard_normal(n), 0.7
+
+        def kept():
+            solver = ct.BorderedSolver(J_far)
+            solver.update(J)
+            seen = []
+            real = solver._refactor
+            solver._refactor = lambda: seen.append(solver.refinements) or real()
+            return solver, seen
+
+        for solve, A, rhs in (
+                (lambda s: s.solve(f), J.toarray(), f),
+                (lambda s: np.append(*s.solve_bordered(g, r, c, f, h)),
+                 bordered_dense(J, g, r, c), np.append(f, h))):
+            solver, seen = kept()
+            got = solve(solver)
+            assert seen == [2] and solver.refactors == 1
+            want = np.linalg.solve(A, rhs)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # the contraction is real: with a far larger cap, refinement alone
+        # gets there, in more sweeps than MAX_SWEEPS allows
+        cap = ct.MAX_SWEEPS
+        monkeypatch.setattr(ct, "MAX_SWEEPS", 100)
+        solver, seen = kept()
+        solver.solve(f)
+        assert seen == [] and solver.refinements > cap
 
 
 class TestJacobianMemo:
