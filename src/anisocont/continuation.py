@@ -118,9 +118,11 @@ class RunResult:
 
 
 class FemWorkspace:
-    """Caches the mesh-bound matrices used by repeated residual/Jacobian calls,
-    and `solver`, the one BorderedSolver whose LU every solve with this
-    mesh's Jacobian refines on (README, "Linear solves")."""
+    """Caches the mesh-bound matrices used by repeated residual/Jacobian calls:
+    the stiffness and mass matrices, the Jacobian's fixed sparsity pattern
+    (`pattern`, filled by value on every update), and `solver`, the one
+    BorderedSolver whose LU every solve with this mesh's Jacobian refines on
+    (README, "Linear solves")."""
 
     def __init__(self, mesh, prob):
         self.mesh = mesh
@@ -128,16 +130,29 @@ class FemWorkspace:
         self.M = fem.assemble_mass(mesh)
         self.dir_idx, self.dir_groups = fem.dirichlet_info(mesh, prob)
         self.domain_vol = float(np.prod(mesh.box[:, 1] - mesh.box[:, 0]))
-        self.free = np.ones(mesh.num_nodes, dtype=bool)
-        self.free[self.dir_idx] = False
+        self.pattern = fem.JacobianPattern(self.K1, self.M, self.dir_idx)
+        self.free = self.pattern.free
         self._K_cache = (None, None)
         self._J_cache = (None, None, None)
-        self.solver = BorderedSolver()
+        self.solver = self.new_solver()
+
+    def new_solver(self):
+        """A BorderedSolver that takes the norm of this mesh's Jacobians
+        from `pattern`."""
+        return BorderedSolver(norm=self.pattern.inf_norm)
 
     def K(self, c):
         if self._K_cache[0] != c:
-            self._K_cache = (c, (c * self.K1).tocsr())
+            # 1.0 * K1 is K1 bitwise, so c = 1 needs no copy
+            self._K_cache = (c, self.K1 if c == 1.0 else (c * self.K1).tocsr())
         return self._K_cache[1]
+
+    def release(self):
+        """Drops the LU, the remembered Jacobian and the scaled stiffness,
+        which later calls rebuild, so the workspace stays usable."""
+        self.solver.release()
+        self._K_cache = (None, None)
+        self._J_cache = (None, None, None)
 
     def residual(self, u, prob):
         return fem.residual(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
@@ -150,8 +165,7 @@ class FemWorkspace:
         key = (prob.c, prob.lam, prob.gamma, sorted(prob.aux.items()))
         last_u, last_key, J = self._J_cache
         if last_key != key or not np.array_equal(last_u, u):
-            J = fem.jacobian(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
-                             dir_idx=self.dir_idx)
+            J = fem.jacobian(self.mesh, u, prob, pattern=self.pattern)
             self._J_cache = (np.array(u, dtype=float), key, J)
         return J
 
@@ -224,13 +238,18 @@ class BorderedSolver:
     that misses the bound is returned after its sweep, for Newton's residual
     test to judge.
 
+    `norm(J)`, when given, must return `spla.norm(J, np.inf)`; a
+    workspace's solvers take it from the Jacobian pattern
+    (`FemWorkspace.new_solver`), which needs no conversion of J.
+
     Counts: `factorizations` (every LU this solver made, full bordered ones
     included), `refactors` (LUs made because refinement on a kept LU fell
     short), `refinements` (sweeps) and `fallbacks` (full bordered LUs).
     """
 
-    def __init__(self, J=None):
+    def __init__(self, J=None, norm=None):
         self.J = self.lu = self.error = None
+        self._norm = norm or _inf_norm
         self.fresh = True
         self.factorizations = self.refactors = self.refinements = 0
         self.fallbacks = 0
@@ -254,7 +273,7 @@ class BorderedSolver:
 
     def _set(self, J):
         self.J = sp.csc_matrix(J)
-        self._j_norm = spla.norm(self.J, np.inf)
+        self._j_norm = self._norm(self.J)
 
     def _factor(self):
         self.factorizations += 1
@@ -347,6 +366,10 @@ class BorderedSolver:
         raise RuntimeError("bordered system is singular")
 
 
+def _inf_norm(A):
+    return spla.norm(A, np.inf)
+
+
 def _eliminate(v, s, w, r, h):
     """[x; y] from the elimination of the border, given w = J^-1 f."""
     y = (h - float(r @ w)) / s
@@ -368,7 +391,7 @@ def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
     u = np.array(u0, dtype=float, copy=True)
     if u.shape != (mesh.num_nodes,):
         raise ValueError("initial guess length does not match node count")
-    solver = BorderedSolver()
+    solver = work.new_solver()
 
     def result(k, res_norm, converged):
         return NewtonResult(u, k, res_norm, converged, solver,
@@ -409,7 +432,7 @@ def compute_tangent(work, u, prob, prev_tangent, solver=None):
     tu_prev, tp_prev = prev_tangent[:n], float(prev_tangent[n])
     row_u, row_p = work.border(tu_prev, tp_prev)
     if solver is None:
-        solver = BorderedSolver()
+        solver = work.new_solver()
     solver.update(work.jacobian(u, prob))
     try:
         # exactly at a branch point the bordered matrix is singular: nudge
@@ -513,10 +536,7 @@ def cont_step(state, settings, work):
 def _reduced_symmetric(work, u, prob):
     """A, the symmetric part of the Dirichlet-reduced Jacobian; the pencil's
     B is `work.M_free`."""
-    J = work.jacobian(u, prob)
-    free = work.free
-    A = J[free][:, free]
-    return ((A + A.T) * 0.5).tocsc()
+    return work.pattern.reduced_symmetric(work.jacobian(u, prob))
 
 
 def _shift_invert(A):
@@ -758,16 +778,17 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
 
     `n_neg` is the stability index of `state` when the caller has it; with
     `with_n_neg` a missing one is computed, and so is the re-solved state's.
-    Each workspace left behind drops its LU before the adaptation, so the old
-    mesh's LU is never alive beside the new mesh's assembly and LU; the new
-    workspace takes Newton's solver.
+    Each workspace left behind drops its LU and its remembered Jacobian
+    before the adaptation (`FemWorkspace.release`), so neither is alive
+    beside the new mesh's assembly and LU; the new workspace takes Newton's
+    solver.
     """
     if with_n_neg and n_neg is None:
         n_neg = stability_index(state.mesh, state.u, state.prob, work)
     records = [make_record(state, work, n_neg=n_neg, flag=pre_flag)]
     cur, cur_work = state, work
     for _ in range(settings.ngen):
-        cur_work.solver.release()
+        cur_work.release()
         try:
             mesh2, u2, _ = two_step_adapt(cur.mesh, cur.u, trop, trcop)
         except AdaptationError as exc:

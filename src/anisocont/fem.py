@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import signed_volumes
 
@@ -251,26 +252,136 @@ def residual(mesh, u, prob, K=None, M=None, dir_idx=None, dir_groups=None):
     return G
 
 
-def jacobian(mesh, u, prob, K=None, M=None, dir_idx=None):
-    """Sparse Jacobian of `residual`; Dirichlet rows are identity rows."""
+def jacobian(mesh, u, prob, K=None, M=None, dir_idx=None, pattern=None):
+    """Sparse Jacobian of `residual`, CSC; Dirichlet rows are identity rows.
+
+    `pattern`, a `JacobianPattern` of this mesh's unit-coefficient stiffness,
+    stands in for `K`, `M` and `dir_idx` (the stiffness is then scaled by
+    `prob.c`); without it one is built from them for this call.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_nodes,):
         raise ValueError(f"u has length {u.shape}, mesh has {mesh.num_nodes} nodes")
-    if K is None:
-        K = assemble_stiffness(mesh, prob.c)
-    if M is None:
-        M = assemble_mass(mesh)
-    n = mesh.num_nodes
-    J = (K - M @ sp.diags(nonlinearity_prime(u, prob))).tocsr()
-    if dir_idx is None:
-        dir_idx, _ = dirichlet_info(mesh, prob)
-    if dir_idx.size:
-        free = np.ones(n)
-        free[dir_idx] = 0.0
-        fixed = np.zeros(n)
-        fixed[dir_idx] = 1.0
-        J = (sp.diags(free) @ J + sp.diags(fixed)).tocsr()
-    return J
+    c = prob.c
+    if pattern is None:
+        if K is None:
+            K = assemble_stiffness(mesh, prob.c)
+        if M is None:
+            M = assemble_mass(mesh)
+        if dir_idx is None:
+            dir_idx, _ = dirichlet_info(mesh, prob)
+        pattern, c = JacobianPattern(K, M, dir_idx), 1.0
+    return pattern.fill(nonlinearity_prime(u, prob), c)
+
+
+class JacobianPattern:
+    """The CSC sparsity pattern of the Jacobian on one mesh, filled by value.
+
+    `K` and `M` are CSR matrices on one pattern (they come from the same
+    element connectivity); the Jacobian keeps their entries except the
+    off-diagonals of Dirichlet rows. `fill` writes
+    `c K - M diag(f')` with 1.0 on the Dirichlet diagonals straight into the
+    column order that `sp.csc_matrix` of the CSR result would give, so its
+    matrices are bitwise those of sparse products, row scaling and a CSC
+    conversion, without any of them. All maps are int32 and each filled
+    matrix shares `indices` and `indptr`, so a workspace holds one CSC
+    Jacobian and no CSR copy.
+    """
+
+    def __init__(self, K, M, dir_idx):
+        if not (np.array_equal(K.indptr, M.indptr)
+                and np.array_equal(K.indices, M.indices)):
+            raise ValueError("K and M must share one sparsity pattern")
+        n = K.shape[0]
+        self.K, self.M, self.shape = K, M, K.shape
+        self.free = np.ones(n, dtype=bool)
+        self.free[dir_idx] = False
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(K.indptr))
+        keep = K.indices == rows
+        keep |= self.free[rows]
+        del rows
+        kept = np.arange(len(keep), dtype=np.int32)[keep]     # CSR positions
+        csr_ptr = np.searchsorted(kept, K.indptr).astype(np.int32)
+        if not np.all(csr_ptr[1:] > csr_ptr[:-1]):
+            raise ValueError("every node must belong to an element")
+        # scipy's CSR -> CSC conversion, applied to the kept positions
+        csc = sp.csr_matrix((np.arange(len(kept), dtype=np.int32),
+                             K.indices[kept], csr_ptr), shape=self.shape).tocsc()
+        self.indices, self.indptr = csc.indices, csc.indptr
+        self.src = kept[csc.data]              # K/M data position per CSC entry
+        self.csr_order = np.empty_like(csc.data)   # CSC position per CSR entry
+        self.csr_order[csc.data] = np.arange(len(kept), dtype=np.int32)
+        self.row_starts = csr_ptr[:-1]
+        self.col_counts = np.diff(self.indptr)
+        self.dir_pos = self.csr_order[csr_ptr[dir_idx]]
+        self._sym = None
+
+    def fill(self, fp, c):
+        """The Jacobian for the nodal values `fp` of f'(u) and stiffness
+        scale `c`. Exact zeros are dropped, as scipy's sparse sums drop them."""
+        data = self.M.data[self.src]
+        data *= np.repeat(fp, self.col_counts)
+        k = self.K.data[self.src]
+        if c != 1.0:
+            k *= c
+        np.subtract(k, data, out=data)
+        data[self.dir_pos] = 1.0
+        return _csc(data, self.indices, self.indptr, self.shape)
+
+    def _on_pattern(self, J):
+        return J.indptr is self.indptr
+
+    def inf_norm(self, J):
+        """`spla.norm(J, np.inf)`, bitwise: row sums of |J| in CSR order,
+        without converting J. Falls back to scipy off this pattern."""
+        if not self._on_pattern(J):
+            return spla.norm(J, np.inf)
+        return np.add.reduceat(np.abs(J.data)[self.csr_order],
+                               self.row_starts).max()
+
+    def reduced_symmetric(self, J):
+        """`((A + A.T) * 0.5).tocsc()` for A, the free rows and columns of J,
+        bitwise; its gather maps are built on the first call."""
+        if not self._on_pattern(J):
+            A = J[self.free][:, self.free]
+            return ((A + A.T) * 0.5).tocsc()
+        if self._sym is None:
+            self._sym = self._symmetric_maps()
+        p, q, indices, indptr = self._sym
+        data = J.data[p]
+        data += J.data[q]
+        data *= 0.5
+        return _csc(data, indices, indptr, (len(indptr) - 1,) * 2)
+
+    def _symmetric_maps(self):
+        """(p, q, indices, indptr): the CSC positions in J of each entry
+        (i, j) of the free block and of its transpose (j, i), in the
+        block's CSC order, and the block's CSC pattern. The free block's
+        pattern is symmetric, so its k-th entry in CSR order is the
+        transpose of its k-th entry in CSC order."""
+        free = self.free
+        cols = np.repeat(np.arange(len(free), dtype=np.int32), self.col_counts)
+        inner = free[self.indices] & free[cols]
+        del cols
+        p = np.arange(len(inner), dtype=np.int32)[inner]
+        q = self.csr_order[inner[self.csr_order]]
+        renum = (np.cumsum(free) - 1).astype(np.int32)
+        indices = renum[self.indices[p]]
+        indptr = np.searchsorted(p, self.indptr[np.append(np.flatnonzero(free),
+                                                          len(free))])
+        return p, q, indices, indptr.astype(np.int32)
+
+
+def _csc(data, indices, indptr, shape):
+    """A CSC matrix on a shared sorted pattern; with exact zeros in `data`
+    it gets its own index arrays, from which the zeros are dropped."""
+    if data.all():
+        A = sp.csc_matrix((data, indices, indptr), shape=shape)
+    else:
+        A = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+        A.eliminate_zeros()
+    A.has_canonical_format = True
+    return A
 
 
 def l2_norm(mesh, u, M=None):

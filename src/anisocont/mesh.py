@@ -462,29 +462,41 @@ class _Locator:
             h_min = 3.0 * vols / np.maximum(areas, 1e-300)
         self.lam_tol = 1e-9 * mesh.diameter() / np.maximum(h_min, 1e-300)
 
-    def bary(self, e, x):
-        lam_rest = self.Tinv[e] @ (x - self.p0[e])
-        return np.concatenate([[1.0 - lam_rest.sum()], lam_rest])
-
     def bary_many(self, elems, pts):
         lam_rest = np.einsum("eij,ej->ei", self.Tinv[elems], pts - self.p0[elems])
         lam0 = 1.0 - lam_rest.sum(axis=1)
         return np.column_stack([lam0, lam_rest])
 
-    def _walk(self, x, start):
-        e = start
-        visited = set()
+    def walk(self, pts, start):
+        """Element walks of many points at once, round by round: (elements,
+        barycentrics, found) for the rows of `pts` walked from the elements
+        `start`. Each round steps every unfinished walk to the neighbor
+        across the facet of its smallest barycentric (first index on ties);
+        a walk ends found once that barycentric is within `lam_tol`, and
+        fails at the boundary or on an element it visited before. The
+        barycentrics come from one stacked matrix product, which, unlike
+        `bary_many`'s einsum, gives each row the bits of a matrix-vector
+        product of its own."""
+        k = len(pts)
+        elems = np.array(start, dtype=np.int64)
+        lam_out = np.empty((k, self.mesh.dim + 1))
+        found = np.zeros(k, dtype=bool)
+        rows = np.arange(k)                 # unfinished walks
+        path = elems[:, None]               # their visited elements
         for _ in range(4 * len(self.mesh.elements) + 16):
-            lam = self.bary(e, x)
-            j = int(np.argmin(lam))
-            if lam[j] >= -self.lam_tol[e]:
-                return e, lam
-            visited.add(e)
+            if not rows.size:
+                break
+            e = path[:, -1]
+            rest = (self.Tinv[e] @ (pts[rows] - self.p0[e])[:, :, None])[:, :, 0]
+            lam = np.column_stack([1.0 - rest.sum(axis=1), rest])
+            j = lam.argmin(axis=1)
+            hit = lam[np.arange(len(e)), j] >= -self.lam_tol[e]
+            elems[rows[hit]], lam_out[rows[hit]] = e[hit], lam[hit]
+            found[rows[hit]] = True
             nxt = self.neighbors[e, j]
-            if nxt < 0 or nxt in visited:
-                return None
-            e = int(nxt)
-        return None
+            go = ~hit & (nxt >= 0) & ~np.any(path == nxt[:, None], axis=1)
+            rows, path = rows[go], np.column_stack([path[go], nxt[go]])
+        return elems, lam_out, found
 
     def locate(self, x):
         """Locate point x; returns (elem, lam, inside).
@@ -495,10 +507,9 @@ class _Locator:
         """
         x = np.asarray(x, dtype=float)
         seed = int(self.tree.query(x)[1])
-        hit = self._walk(x, seed)
-        if hit is not None:
-            e, lam = hit
-            return e, _clamp_lam(lam), True
+        e, lam, found = self.walk(x[None], [seed])
+        if found[0]:
+            return int(e[0]), _clamp_lam(lam[0]), True
         # walk failed (non-convex cavity of dead ends is impossible on a box,
         # but guard against round-off): exhaustive scan
         ne = len(self.mesh.elements)
@@ -513,8 +524,9 @@ class _Locator:
 
 
 def _clamp_lam(lam):
+    """Barycentrics (one per row) clipped at 0 and rescaled to sum 1."""
     lam = np.maximum(lam, 0.0)
-    return lam / lam.sum()
+    return lam / lam.sum(axis=-1, keepdims=True)
 
 
 def interpolate(old_mesh, u_old, new_mesh, return_stats=False):
@@ -550,13 +562,17 @@ def _p1_weights(mesh, pts):
     beyond round-off, whose weights extrapolate from the least-bad element.
     A point on a mesh node gets that node's unit weight, so it reproduces
     nodal values exactly. The nearest-centroid element is tried for all
-    points in one batch; only the misses walk the mesh.
+    points in one batch; the misses walk the mesh together
+    (`_Locator.walk`), and only failed walks are located one by one.
     """
     loc = mesh.locator()
     elems = loc.tree.query(pts)[1]
     lam = loc.bary_many(elems, pts)
+    miss = np.flatnonzero(~(lam.min(axis=1) >= -1e-12))
+    elems[miss], lam_miss, found = loc.walk(pts[miss], elems[miss])
+    lam[miss[found]] = _clamp_lam(lam_miss[found])
     n_extrap = 0
-    for i in np.nonzero(~(lam.min(axis=1) >= -1e-12))[0]:
+    for i in miss[~found]:
         elems[i], lam[i], inside = loc.locate(pts[i])
         n_extrap += not inside
     ids = mesh.elements[elems]

@@ -439,6 +439,14 @@ class TestAdaptInCont:
         assert all(w.solver.lu is None for w in works[:-1])
         assert works[-1].solver.lu is not None
 
+    def test_old_workspace_drops_its_jacobian_before_adapting(self, monkeypatch):
+        held = []
+        self.spot_run(monkeypatch, bif_detection=False,
+                      on_adapt=lambda ws: held.append(
+                          [w._J_cache[2] is not None or w._K_cache[1] is not None
+                           for w in ws]))
+        assert held == [[False], [False, False]]
+
 class TestSymmetry:
     def test_reflection_symmetric_solutions(self):
         m = cos_mesh(17, 9)   # odd nx: mirror-symmetric mesh
@@ -866,6 +874,72 @@ class TestJacobianMemo:
         assert len(calls) == 6
         assert np.array_equal(work.jacobian(v, pr).toarray(),
                               real(m, v, pr).toarray())
+
+
+def products_jacobian(work, u, prob):
+    """The CSR Jacobian from sparse products and row scaling, the assembly
+    the fixed pattern replaced."""
+    n = work.mesh.num_nodes
+    K = (prob.c * work.K1).tocsr()
+    J = (K - work.M @ sp.diags(ac.fem.nonlinearity_prime(u, prob))).tocsr()
+    free, fixed = np.ones(n), np.zeros(n)
+    free[work.dir_idx], fixed[work.dir_idx] = 0.0, 1.0
+    return (sp.diags(free) @ J + sp.diags(fixed)).tocsr()
+
+
+def assert_bitwise(A, B):
+    assert A.format == B.format == "csc" and A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.tobytes() == B.data.tobytes()
+
+
+def jacobian_case(name):
+    rng = np.random.default_rng(17)
+    if name == "cos_zero":          # K's right-angle entries are exact zeros
+        m = cos_mesh(17, 9)
+        return m, cos_problem(d=0.0, lam=0.0), np.zeros(m.num_nodes)
+    if name == "cos":
+        m = cos_mesh(17, 9)
+        return m, cos_problem(d=0.4), rng.standard_normal(m.num_nodes)
+    if name == "spot2d":            # Dirichlet and Neumann segments, c = 0.5
+        m = ac.build_rect_mesh(2.0, 1.0, 15, 9)
+        return m, spot_problem_2d(xi=0.2), rng.standard_normal(m.num_nodes)
+    m = ac.build_box_mesh(1.0, 1.5, 1.0, 5, 6, 4)
+    if name == "spot3d_zero":
+        return m, spot_problem_3d(lam=0.0, c=1.0), np.zeros(m.num_nodes)
+    return m, spot_problem_3d(xi=0.3, lam=0.2), rng.standard_normal(m.num_nodes)
+
+
+JACOBIAN_CASES = ["cos_zero", "cos", "spot2d", "spot3d", "spot3d_zero"]
+
+
+class TestJacobianPattern:
+    @pytest.mark.parametrize("case", JACOBIAN_CASES)
+    def test_bitwise_the_product_assembly(self, case):
+        m, prob, u = jacobian_case(case)
+        work = ct.FemWorkspace(m, prob)
+        ref = sp.csc_matrix(products_jacobian(work, u, prob))
+        J = work.jacobian(u, prob)
+        assert_bitwise(J, ref)
+        assert_bitwise(ac.jacobian(m, u, prob), ref)
+        assert (J.nnz < work.pattern.indices.size) == case.endswith("_zero")
+
+    @pytest.mark.parametrize("case", JACOBIAN_CASES)
+    def test_solver_norm_is_scipys(self, case):
+        m, prob, u = jacobian_case(case)
+        work = ct.FemWorkspace(m, prob)
+        J = work.jacobian(u, prob)
+        work.solver.update(J)
+        assert work.solver._j_norm == spla.norm(J, np.inf)
+
+    @pytest.mark.parametrize("case", JACOBIAN_CASES)
+    def test_reduced_symmetric_part(self, case):
+        m, prob, u = jacobian_case(case)
+        work = ct.FemWorkspace(m, prob)
+        A = products_jacobian(work, u, prob)[work.free][:, work.free]
+        assert_bitwise(ct._reduced_symmetric(work, u, prob),
+                       ((A + A.T) * 0.5).tocsc())
 
 
 def old_compute_tangent(work, u, prob, prev_tangent):

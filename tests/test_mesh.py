@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisocont as ac
-from anisocont.mesh import (_derive_boundary, _Locator, _node_flags, _unique_rows,
-                            facet_topology, quality, segment_table,
-                            signed_volumes, unique_edges)
+from anisocont.mesh import (_derive_boundary, _Locator, _node_flags, _p1_weights,
+                            _unique_rows, facet_topology, quality,
+                            segment_table, signed_volumes, unique_edges)
 
 
 class TestRectMesh:
@@ -186,6 +186,53 @@ def _oracle_interpolate(old_mesh, u_old, pts):
         else:
             out[i] = float(lam_i @ u_old[ids])
     return out, n_extrap
+
+
+def _oracle_walk(loc, x, e):
+    """The per-point element walk the batched one replaced: (elem, lam), or
+    None when it reaches the boundary or an element it visited."""
+    visited = set()
+    while True:
+        rest = loc.Tinv[e] @ (x - loc.p0[e])
+        lam = np.concatenate([[1.0 - rest.sum()], rest])
+        j = int(np.argmin(lam))
+        if lam[j] >= -loc.lam_tol[e]:
+            return e, lam
+        visited.add(e)
+        nxt = int(loc.neighbors[e, j])
+        if nxt < 0 or nxt in visited:
+            return None
+        e = nxt
+
+
+class TestBatchedWalk:
+    @pytest.mark.parametrize("case", ["adapted", "box"])
+    def test_matches_per_point_walk(self, case):
+        m = KERNEL_MESHES[case]()
+        loc = m.locator()
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(m.box[:, 0], m.box[:, 1], (3000, m.dim))
+        seeds = loc.tree.query(pts)[1]
+        miss = ~(loc.bary_many(seeds, pts).min(axis=1) >= -1e-12)
+        assert miss.sum() >= 50             # points the nearest centroid misses
+        pts = np.vstack([pts[miss], m.box[:, 1] + 0.05])
+        ref = []
+        for x in pts:
+            hit = _oracle_walk(loc, x, int(loc.tree.query(x)[1]))
+            if hit is None:                 # the exhaustive scan
+                ref.append(loc.locate(x))
+            else:
+                lam = np.maximum(hit[1], 0.0)
+                ref.append((hit[0], lam / lam.sum(), True))
+        assert [r[2] for r in ref].count(False) == 1 and not ref[-1][2]
+        ids, lam, n_extrap = _p1_weights(m, pts)
+        assert n_extrap == 1
+        assert np.array_equal(ids, m.elements[[e for e, _, _ in ref]])
+        assert lam.tobytes() == np.array([w for _, w, _ in ref]).tobytes()
+        for x, (e, w, inside) in zip(pts[::10], ref[::10]):
+            got = loc.locate(x)
+            assert got[0] == e and got[1].tobytes() == w.tobytes()
+            assert got[2] == inside
 
 
 class TestBatchedInterpolation:
