@@ -123,7 +123,6 @@ class CoarsenOptions(AdaptOptions):
 class AdaptStats:
     np_before: int = 0
     np_after: int = 0
-    lmax_history: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
 
     def to_lines(self):
@@ -721,7 +720,7 @@ def _validate_after(mesh, pass_name):
                               f"({report}); dumped to {path}")
 
 
-def tradapt(mesh, u, opts, validate_passes=True):
+def tradapt(mesh, u, opts):
     """Run the inner adaptation loop: swap, coarsen, refine, move.
 
     The metric is rebuilt (Hessian recovery plus eta evaluation at the
@@ -735,36 +734,30 @@ def tradapt(mesh, u, opts, validate_passes=True):
     mask = decode_sw(opts.sw)
     stats = AdaptStats(np_before=mesh.num_nodes)
     psi = metric_for_field(mesh, u, opts.eta_policy, opts.ppar, opts.field_selector)
-    stats.lmax_history.append(max_metric_edge_length(mesh, psi))
     for _ in range(opts.innerit):
         it_stats = {}
         if mask.swap:
             mesh, u, psi, n = swap_pass(mesh, u, psi, opts)
             it_stats["swaps"] = n
-            if validate_passes:
-                _validate_after(mesh, "swap")
+            _validate_after(mesh, "swap")
         if mask.coarsen:
             mesh, u, psi, n = coarsen_pass(mesh, u, psi, opts)
             it_stats["collapses"] = n
-            if validate_passes:
-                _validate_after(mesh, "coarsen")
+            _validate_after(mesh, "coarsen")
         if mask.refine:
             mesh, u, psi, n = refine_pass(mesh, u, psi, opts)
             it_stats["splits"] = n
-            if validate_passes:
-                _validate_after(mesh, "refine")
+            _validate_after(mesh, "refine")
         if mask.move:
             mesh, u, psi, n = move_pass(mesh, u, psi, opts)
             it_stats["moves"] = n
-            if validate_passes:
-                _validate_after(mesh, "move")
+            _validate_after(mesh, "move")
         psi = metric_for_field(mesh, u, opts.eta_policy, opts.ppar,
                                opts.field_selector)
         lmax = max_metric_edge_length(mesh, psi)
         it_stats["np"] = mesh.num_nodes
         it_stats["lmax"] = lmax
         stats.iterations.append(it_stats)
-        stats.lmax_history.append(lmax)
         if lmax < opts.l_up:
             break
     stats.np_after = mesh.num_nodes

@@ -237,16 +237,10 @@ def load_config(path):
     name = str(path).rsplit("/", 1)[-1]
     name = name[:-4] if name.endswith(".cfg") else name
 
-    cfg = RunConfig(
+    return RunConfig(
         name=name, dim=dim, extents=extents, counts=counts, prob=prob,
         trop=trop, trcop=trcop, cont=cont,
         direction=_get(cont_sec, "direction", int, default=1),
         initial_adapt=_get(cont_sec, "initial_adapt", _parse_bool, default=False),
         output_dir=out_sec.get("dir", "out") if out_sec else "out",
         snapshot_stride=int(out_sec.get("snapshot_stride", 0)) if out_sec else 0)
-
-    missing = [seg for seg in segment_table(dim) if seg not in cfg.prob.bc]
-    if missing:
-        raise ConfigError(f"[problem]: missing boundary conditions for "
-                          f"segments {missing}")
-    return cfg

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,7 +23,6 @@ from .mesh import interpolate
 logger = logging.getLogger(__name__)
 
 XI_WEIGHT = 0.5
-DENSE_EIG_LIMIT = 3000
 BACKWARD_TOL = 1e-12          # accepted normwise backward error of a solve
 MAX_SWEEPS = 8                # refinement sweeps on a kept LU before refactoring
 NUDGE = 1e-10                 # last-resort diagonal shift of a singular tangent system
@@ -86,7 +84,6 @@ class NewtonResult:
     iterations: int
     residual_norm: float
     converged: bool
-    solver: BorderedSolver | None = None   # holds the LU for later solves
     factorizations: int = 0
     refinements: int = 0
 
@@ -134,12 +131,7 @@ class FemWorkspace:
         self.free = self.pattern.free
         self._K_cache = (None, None)
         self._J_cache = (None, None, None)
-        self.solver = self.new_solver()
-
-    def new_solver(self):
-        """A BorderedSolver that takes the norm of this mesh's Jacobians
-        from `pattern`."""
-        return BorderedSolver(norm=self.pattern.inf_norm)
+        self.solver = BorderedSolver(norm=self.pattern.inf_norm)
 
     def K(self, c):
         if self._K_cache[0] != c:
@@ -239,8 +231,8 @@ class BorderedSolver:
     test to judge.
 
     `norm(J)`, when given, must return `spla.norm(J, np.inf)`; a
-    workspace's solvers take it from the Jacobian pattern
-    (`FemWorkspace.new_solver`), which needs no conversion of J.
+    workspace's solver takes it from the Jacobian pattern, which needs no
+    conversion of J.
 
     Counts: `factorizations` (every LU this solver made, full bordered ones
     included), `refactors` (LUs made because refinement on a kept LU fell
@@ -379,23 +371,25 @@ def _eliminate(v, s, w, r, h):
 def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
     """Full-step Newton on the residual; returns a NewtonResult.
 
-    Iteration 0 factors its Jacobian and later iterations solve with that LU
-    refined against their own Jacobian (`BorderedSolver.update`), so every
-    update is an exact Newton step to the solver's backward-error bound. The
-    result carries the solver, for the caller to hand to the workspace
-    (`work.solver`) so the tangent and the steps that follow start from the
-    same LU, and its counts at return.
+    Iteration 0 factors its Jacobian on the workspace's solver
+    (`work.solver`) and later iterations solve with that LU refined against
+    their own Jacobian (`BorderedSolver.update`), so every update is an exact
+    Newton step to the solver's backward-error bound, and the tangent and the
+    steps that follow start from the same LU. The result counts the LUs and
+    refinement sweeps of this solve.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
     u = np.array(u0, dtype=float, copy=True)
     if u.shape != (mesh.num_nodes,):
         raise ValueError("initial guess length does not match node count")
-    solver = work.new_solver()
+    solver = work.solver
+    start = solver.factorizations, solver.refinements
 
     def result(k, res_norm, converged):
-        return NewtonResult(u, k, res_norm, converged, solver,
-                            solver.factorizations, solver.refinements)
+        return NewtonResult(u, k, res_norm, converged,
+                            solver.factorizations - start[0],
+                            solver.refinements - start[1])
 
     res_norm = np.inf
     for k in range(max_it + 1):
@@ -407,7 +401,10 @@ def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
             break
         J = work.jacobian(u, prob)
         try:
-            solver.update(J)                 # factors at iteration 0
+            if k == 0:
+                solver.factor(J)
+            else:
+                solver.update(J)
             du = solver.solve(-G)
         except Exception as exc:
             logger.warning("Newton linear solve failed: %s", exc)
@@ -419,20 +416,18 @@ def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
     return result(max_it, res_norm, False)
 
 
-def compute_tangent(work, u, prob, prev_tangent, solver=None):
+def compute_tangent(work, u, prob, prev_tangent):
     """Unit branch tangent from the bordered system, oriented along the
     previous tangent.
 
-    `solver`, when given, holds the LU of a nearby Jacobian, usually
-    `work.solver`; the tangent solve then refines with it
-    (`BorderedSolver.update`) and factors only when refinement does not
-    reach the bound. Without it the tangent factors its own Jacobian.
+    The solve refines on the workspace's LU (`work.solver`, through
+    `BorderedSolver.update`), usually that of a nearby Jacobian, and factors
+    only when it holds none or refinement does not reach the bound.
     """
     n = len(u)
     tu_prev, tp_prev = prev_tangent[:n], float(prev_tangent[n])
     row_u, row_p = work.border(tu_prev, tp_prev)
-    if solver is None:
-        solver = work.new_solver()
+    solver = work.solver
     solver.update(work.jacobian(u, prob))
     try:
         # exactly at a branch point the bordered matrix is singular: nudge
@@ -526,7 +521,7 @@ def cont_step(state, settings, work):
             prob.set_param(p)
             new_state = ContinuationState(state.mesh, u, prob, None,
                                           state.step_index + 1, ds_next)
-            new_state.tangent = compute_tangent(work, u, prob, t, solver)
+            new_state.tangent = compute_tangent(work, u, prob, t)
             return new_state, {"ds_used": ds, "newton_iters": iters, **counts()}
         ds *= 0.5
         if ds < settings.ds_min:
@@ -641,25 +636,18 @@ def critical_eigenpair(mesh, u, prob, work=None):
     if work is None:
         work = FemWorkspace(mesh, prob)
     A, B = _reduced_symmetric(work, u, prob), work.M_free
-    n = A.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        if n <= DENSE_EIG_LIMIT:
-            w, V = scipy.linalg.eigh(A.toarray(), B.toarray())
-            j = int(np.argmin(np.abs(w)))
-            val, vec = float(w[j]), V[:, j]
-        else:
-            rng = np.random.default_rng(0)
-            w, V = spla.eigsh(A, k=1, M=B, sigma=0.0, which="LM",
-                              v0=rng.standard_normal(n), OPinv=_shift_invert(A))
-            val, vec = float(w[0]), V[:, 0]
+        w, V = spla.eigsh(A, k=1, M=B, sigma=0.0, which="LM", v0=v0,
+                          OPinv=_shift_invert(A))
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise ContinuationError(f"critical eigenpair solve failed: {exc}") from exc
     phi = np.zeros(mesh.num_nodes)
-    phi[work.free] = vec
+    phi[work.free] = V[:, 0]
     nrm = float(np.max(np.abs(phi)))
     if nrm > 0:
         phi /= nrm
-    return val, phi
+    return float(w[0]), phi
 
 
 def make_record(state, work, n_neg=None, flag=""):
@@ -762,8 +750,7 @@ def branch_switch(state, phi, settings, work=None, delta=None):
         prob.set_param(p)
         new_state = ContinuationState(state.mesh, u, prob, None, 0, settings.ds0)
         sign = 1.0 if trial > 0 else -1.0
-        new_state.tangent = compute_tangent(work, u, prob, sign * t,
-                                            work.solver)
+        new_state.tangent = compute_tangent(work, u, prob, sign * t)
         return new_state
     raise ContinuationError("branch switching failed: corrector kept returning "
                             "to the known branch")
@@ -780,8 +767,8 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
     `with_n_neg` a missing one is computed, and so is the re-solved state's.
     Each workspace left behind drops its LU and its remembered Jacobian
     before the adaptation (`FemWorkspace.release`), so neither is alive
-    beside the new mesh's assembly and LU; the new workspace takes Newton's
-    solver.
+    beside the new mesh's assembly and LU; the tangent on the new mesh
+    refines on the LU that Newton left in the new workspace's solver.
     """
     if with_n_neg and n_neg is None:
         n_neg = stability_index(state.mesh, state.u, state.prob, work)
@@ -810,9 +797,7 @@ def adapt_in_cont(state, settings, trop, trcop, work, pre_flag="",
         cur = ContinuationState(mesh2, result.u, cur.prob.copy(), None,
                                 cur.step_index, cur.ds)
         cur_work = work2
-        work2.solver = result.solver
-        cur.tangent = compute_tangent(work2, cur.u, cur.prob, tangent_guess,
-                                      work2.solver)
+        cur.tangent = compute_tangent(work2, cur.u, cur.prob, tangent_guess)
     n_neg = stability_index(cur.mesh, cur.u, cur.prob, cur_work) \
         if with_n_neg else None
     records.append(make_record(cur, cur_work, n_neg=n_neg, flag="ADAPT"))
@@ -835,12 +820,10 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
                      result.residual_norm)
         return RunResult([], [], state, "initial newton failed")
     state = replace(state, u=result.u, ds=settings.ds0)
-    work.solver = result.solver
     if state.tangent is None:
         seed = np.zeros(len(state.u) + 1)
         seed[-1] = 1.0 if direction >= 0 else -1.0
-        state.tangent = compute_tangent(work, state.u, state.prob, seed,
-                                        work.solver)
+        state.tangent = compute_tangent(work, state.u, state.prob, seed)
     records = []
     events = []
 

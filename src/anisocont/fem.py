@@ -252,26 +252,19 @@ def residual(mesh, u, prob, K=None, M=None, dir_idx=None, dir_groups=None):
     return G
 
 
-def jacobian(mesh, u, prob, K=None, M=None, dir_idx=None, pattern=None):
+def jacobian(mesh, u, prob, pattern=None):
     """Sparse Jacobian of `residual`, CSC; Dirichlet rows are identity rows.
 
-    `pattern`, a `JacobianPattern` of this mesh's unit-coefficient stiffness,
-    stands in for `K`, `M` and `dir_idx` (the stiffness is then scaled by
-    `prob.c`); without it one is built from them for this call.
+    `pattern` is a `JacobianPattern` of this mesh's unit-coefficient
+    stiffness; without it one is built for this call.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_nodes,):
         raise ValueError(f"u has length {u.shape}, mesh has {mesh.num_nodes} nodes")
-    c = prob.c
     if pattern is None:
-        if K is None:
-            K = assemble_stiffness(mesh, prob.c)
-        if M is None:
-            M = assemble_mass(mesh)
-        if dir_idx is None:
-            dir_idx, _ = dirichlet_info(mesh, prob)
-        pattern, c = JacobianPattern(K, M, dir_idx), 1.0
-    return pattern.fill(nonlinearity_prime(u, prob), c)
+        pattern = JacobianPattern(assemble_stiffness(mesh, 1.0),
+                                  assemble_mass(mesh), dirichlet_info(mesh, prob)[0])
+    return pattern.fill(nonlinearity_prime(u, prob), prob.c)
 
 
 class JacobianPattern:

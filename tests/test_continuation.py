@@ -447,6 +447,36 @@ class TestAdaptInCont:
                            for w in ws]))
         assert held == [[False], [False, False]]
 
+    def test_one_solver_per_workspace(self, monkeypatch):
+        """Newton, the tangents and the steps all solve on `work.solver`:
+        across one adaptation each workspace builds the only solver made."""
+        works, solvers = [], []
+        real_work, real_solver = ct.FemWorkspace, ct.BorderedSolver
+
+        def workspace(*args):
+            works.append(real_work(*args))
+            return works[-1]
+
+        def solver(*args, **kwargs):
+            solvers.append(real_solver(*args, **kwargs))
+            return solvers[-1]
+
+        monkeypatch.setattr(ct, "FemWorkspace", workspace)
+        monkeypatch.setattr(ct, "BorderedSolver", solver)
+        m = cos_mesh(17, 9)
+        prob = spot_problem_2d(xi=0.0)
+        trop = ac.AdaptOptions.for_dim(
+            2, eta_policy=metric.EtaPolicy.linear_in_np(1e-3))
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.08, nsteps=2,
+                                           amod=2, bif_detection=True)
+        state = ct.ContinuationState(m, np.zeros(m.num_nodes), prob, ds=0.05)
+        result = ct.run_continuation(state, settings, trop=trop)
+        assert [r.flag for r in result.records].count("ADAPT") == 1
+        assert len(works) == len(solvers) == 2
+        assert all(w.solver is s for w, s in zip(works, solvers))
+        assert all(s.factorizations > 0 for s in solvers)
+
+
 class TestSymmetry:
     def test_reflection_symmetric_solutions(self):
         m = cos_mesh(17, 9)   # odd nx: mirror-symmetric mesh
@@ -747,10 +777,16 @@ class TestReusedFactorization:
 
     def test_newton_factors_once(self, spot3d_state):
         m, u, prob = spot3d_state
-        res = ct.newton_solve(m, 1.05 * u, prob)
+        work = ct.FemWorkspace(m, prob)
+        res = ct.newton_solve(m, 1.05 * u, prob, work=work)
         assert res.converged and res.iterations >= 2
         assert res.factorizations == 1 and res.refinements > 0
-        assert res.factorizations == res.solver.factorizations
+        assert res.factorizations == work.solver.factorizations
+        # counts are the solve's own, not the workspace solver's totals
+        again = ct.newton_solve(m, 1.05 * u, prob, work=work)
+        assert again.factorizations == 1
+        assert again.refinements == res.refinements
+        assert work.solver.factorizations == 2
 
     @staticmethod
     def spot_start():
@@ -760,10 +796,9 @@ class TestReusedFactorization:
         prob = spot_problem_2d(xi=0.0)
         work = ct.FemWorkspace(m, prob)
         res = ct.newton_solve(m, np.zeros(m.num_nodes), prob, work=work)
-        work.solver = res.solver
         seed = np.zeros(m.num_nodes + 1)
         seed[-1] = 1.0
-        tangent = ct.compute_tangent(work, res.u, prob, seed, work.solver)
+        tangent = ct.compute_tangent(work, res.u, prob, seed)
         return ct.ContinuationState(m, res.u, prob, tangent, 0, 0.05), work
 
     def test_steps_keep_the_workspace_lu(self):
@@ -1019,7 +1054,6 @@ class TestFailurePaths:
         def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
         monkeypatch.setattr(ct, "factorize", singular)
         with caplog.at_level(logging.WARNING, logger=ct.logger.name):
             assert ct.stability_index(m, np.zeros(m.num_nodes), prob) is None
@@ -1077,7 +1111,6 @@ class TestFailurePaths:
         def singular(A):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
         monkeypatch.setattr(ct, "factorize", singular)
         with pytest.raises(ct.ContinuationError):
             ct.critical_eigenpair(m, np.zeros(m.num_nodes), prob)
@@ -1122,15 +1155,18 @@ class TestShiftInvert:
                                             cos_problem(d=0.0, lam=lam))
                     for lam in (0.1, 0.4, 1.2)}
         assert expected == {0.1: 0, 0.4: 1, 1.2: 4}
-        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 10)
         monkeypatch.setattr(ct, "_inertia", lambda A: (None, "forced"))
         for lam, count in expected.items():
             prob = cos_problem(d=0.0, lam=lam)
             assert ct.stability_index(m, np.zeros(m.num_nodes), prob) == count
-        val, phi = ct.critical_eigenpair(m, np.zeros(m.num_nodes),
-                                         cos_problem(d=0.0, lam=0.3))
-        monkeypatch.setattr(ct, "DENSE_EIG_LIMIT", 3000)
-        val_d, phi_d = ct.critical_eigenpair(m, np.zeros(m.num_nodes),
-                                             cos_problem(d=0.0, lam=0.3))
+        u, prob = np.zeros(m.num_nodes), cos_problem(d=0.0, lam=0.3)
+        val, phi = ct.critical_eigenpair(m, u, prob)
+        # dense oracle: the eigenpair of the reduced pencil closest to zero
+        work = ct.FemWorkspace(m, prob)
+        w, V = scipy.linalg.eigh(ct._reduced_symmetric(work, u, prob).toarray(),
+                                 work.M_free.toarray())
+        j = int(np.argmin(np.abs(w)))
+        val_d, phi_d = w[j], np.zeros(m.num_nodes)
+        phi_d[work.free] = V[:, j] / np.max(np.abs(V[:, j]))
         assert val == pytest.approx(val_d, rel=1e-8)
         assert abs(abs(phi @ phi_d) / (phi_d @ phi_d) - 1.0) < 1e-6
