@@ -5,8 +5,9 @@ bit 4 coarsen, bit 8 swap) and chained by `tradapt`, which recomputes the
 metric between inner iterations and stops once the longest metric edge drops
 below the upper threshold. `two_step_adapt` optionally coarsens to a node
 budget first and then adapts with refinement enabled. Refine, move and swap
-work on whole arrays; coarsen tries one collapse at a time on `_Editor`'s
-dict maps, since each collapse decides which edges the next ones see.
+work on whole arrays. Coarsen commits one collapse at a time on `_Editor`'s
+dict maps, since each collapse decides which edges the next ones see, but
+plans and scores its attempts in windows.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +35,9 @@ _SWAP_SWEEPS = 8
 # pre-operation worst combined quality
 _QUALITY_FLOOR_FACTOR = 0.1
 _MOVE_DAMPING = 0.5
+# bounds of the adaptive number of collapse attempts a coarsen window plans
+# and scores in one quality call
+_WINDOW_MIN, _WINDOW_MAX = 1, 64
 
 
 class AdaptationError(RuntimeError):
@@ -174,10 +179,10 @@ class _Editor:
         self.coords = mesh.nodes
         self.u = np.asarray(u, dtype=float)
         self.tensors = psi.tensors
-        self.alive = np.ones(n, dtype=bool)
+        self.alive = [True] * n
         self.n_alive_nodes = n
         self.flags = mesh.boundary_node_flags
-        self.elems = [tuple(int(v) for v in e) for e in mesh.elements]
+        self.elems = list(map(tuple, mesh.elements.tolist()))
         self.elem_key = {}
         self.node2el = [set() for _ in range(n)]
         for e, nodes in enumerate(self.elems):
@@ -195,25 +200,46 @@ class _Editor:
         # pass, so an entry changes only when a collapse rewires its element
         self.elem_q = quality(mesh.nodes, psi.tensors, mesh.elements, qual_p).tolist()
 
-    def try_collapse(self, a, b):
-        """Collapse edge (a, b) into one endpoint if all guards pass."""
+    def attempt(self, a, b):
+        """What trying edge (a, b), both endpoints alive, reads and plans on
+        the current state: `({a, b}, [])` if the endpoints share no element,
+        else the vertices of both stars and a plan for each allowed
+        direction. The survivor must carry every segment flag of the removed
+        node, so boundary endpoints win over interior ones and corners never
+        vanish."""
+        star_a, star_b = self.node2el[a], self.node2el[b]
+        if star_a.isdisjoint(star_b):
+            return {a, b}, []
+        reads = {v for e in star_a | star_b for v in self.elems[e]}
         fa, fb = self.flags[a], self.flags[b]
         directions = []
-        # the survivor must carry every segment flag of the removed node, so
-        # boundary endpoints win over interior ones and corners never vanish
         if fb <= fa:
             directions.append((a, b))       # keep a, remove b
         if fa <= fb:
             directions.append((b, a))
         plans = [plan for plan in (self._plan_collapse(s, r) for s, r in directions)
                  if plan is not None]
+        return reads, plans
+
+    def score(self, attempts):
+        """Per plan list in `attempts`, the qualities of its plans' rewired
+        rows in order, all from one kernel call (none for no rows)."""
+        rows = np.fromiter(chain.from_iterable(
+            nodes for plans in attempts for plan in plans for _, nodes, _ in plan[3]),
+            dtype=np.int64)
+        q = iter(quality(self.coords, self.tensors, rows, self.qual_p).tolist()
+                 if rows.size else ())
+        return [[next(q) for plan in plans for _ in plan[3]] for plans in attempts]
+
+    def collapse(self, a, b, plans, q):
+        """Commit the plan of edge (a, b) whose rewired elements score best
+        (`q` from `score`), unless it inverts an element or drops one below
+        the floor of the star's current worst quality. Returns whether it
+        committed."""
         if not plans:
             return False
-        # one quality call scores the rewired elements of every plan
-        rows = [nodes for plan in plans for _, nodes, _ in plan[3]]
-        q = quality(self.coords, self.tensors, rows, self.qual_p).tolist()
         touched = self.node2el[a] | self.node2el[b]
-        thresh = _QUALITY_FLOOR_FACTOR * min(self.elem_q[e] for e in touched)
+        thresh = _QUALITY_FLOOR_FACTOR * min(map(self.elem_q.__getitem__, touched))
         best = None
         k = 0
         for plan in plans:
@@ -244,7 +270,7 @@ class _Editor:
             plan_keys.add(key)
             new_elems.append((e, nodes, key))
         # no vertex of a dying element may lose its last element
-        if any(not self.node2el[v] - dying
+        if any(self.node2el[v] <= dying
                for e in dying for v in self.elems[e] if v != r):
             return None
         dead_facets = []
@@ -299,7 +325,7 @@ class _Editor:
         segs = np.fromiter(self.facets.values(), dtype=np.int64,
                            count=len(self.facets))
         return _coarsened(self.mesh, self.u, self.tensors,
-                          np.nonzero(self.alive)[0], elements, facets, segs)
+                          np.flatnonzero(self.alive), elements, facets, segs)
 
 
 def _coarsened(mesh, u, tensors, keep, elements, facets, segs):
@@ -324,29 +350,59 @@ def coarsen_pass(mesh, u, psi, opts):
     are also collapsed (still in ascending length order) until the node
     count drops to the budget. A pass with nothing to try returns the input
     in normal form without building the editor.
+
+    The attempts run in windows. A window plans its next attempts on the
+    same editor state, scores all their plans in one quality call and
+    commits them in order. An attempt whose read set (`_Editor.attempt`)
+    meets the star of a collapse committed earlier in the window is planned
+    and scored again on its own; every other one would plan the same, so
+    the pass is that of trying one edge at a time. The window halves after
+    re-planning and doubles otherwise, within `_WINDOW_MIN.._WINDOW_MAX`.
     """
     edges = unique_edges(mesh.elements)
     lens = edge_lengths(mesh.nodes, psi.tensors, edges)
     order = np.argsort(lens, kind="stable")
+    pairs = edges[order]
+    long = (lens[order] >= opts.l_low).tolist()
     npb = int(getattr(opts, "npb", 0))
 
-    def done(k, n_alive):
-        return lens[k] >= opts.l_low and (npb <= 0 or n_alive <= npb)
+    def done(i, n_alive):
+        return long[i] and (npb <= 0 or n_alive <= npb)
 
-    if len(order) == 0 or done(order[0], mesh.num_nodes):
+    if len(order) == 0 or done(0, mesh.num_nodes):
         return (*_coarsened(mesh, u, psi.tensors, np.arange(mesh.num_nodes),
                             mesh.elements, mesh.boundary_facets,
                             mesh.facet_segments), 0)
     ed = _Editor(mesh, u, psi, opts.qual_p)
-    n_collapsed = 0
-    for k in order:
-        if done(k, ed.n_alive_nodes):
+    alive = ed.alive
+    n_collapsed, i, width = 0, 0, _WINDOW_MIN
+    # once `done` holds, it holds further along `pairs` and as nodes die,
+    # so it is checked as a window grows and before each commit
+    while True:
+        window = []
+        while i < len(pairs) and len(window) < width and not done(i, ed.n_alive_nodes):
+            a, b = pairs[i].tolist()
+            if alive[a] and alive[b]:       # dead nodes never come back
+                window.append((i, a, b, *ed.attempt(a, b)))
+            i += 1
+        if not window:
             break
-        a, b = int(edges[k, 0]), int(edges[k, 1])
-        if not (ed.alive[a] and ed.alive[b] and ed.node2el[a] & ed.node2el[b]):
-            continue
-        if ed.try_collapse(a, b):
-            n_collapsed += 1
+        scores = ed.score([plans for *_, plans in window])
+        stars, replanned = set(), False
+        for (k, a, b, reads, plans), q in zip(window, scores):
+            if done(k, ed.n_alive_nodes):
+                break
+            if not reads.isdisjoint(stars):
+                replanned = True
+                if not (alive[a] and alive[b]):
+                    continue
+                reads, plans = ed.attempt(a, b)
+                q, = ed.score([plans])
+            if ed.collapse(a, b, plans, q):
+                n_collapsed += 1
+                stars |= reads
+        width = (max(width // 2, _WINDOW_MIN) if replanned
+                 else min(2 * width, _WINDOW_MAX))
     new_mesh, new_u, new_psi = ed.to_mesh()
     return new_mesh, new_u, new_psi, n_collapsed
 

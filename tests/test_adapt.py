@@ -180,6 +180,180 @@ class TestCoarsenPass:
             assert old[p] == v
 
 
+def coarsen_oracle(mesh, u, psi, opts):
+    """The coarsen loop `adapt.coarsen_pass` replaced, kept as its bitwise
+    reference: it tries the edges one at a time, shortest first, and scores
+    each attempt's plans in a quality call of its own. Returns the pass's
+    result and the edges it reached with both endpoints alive."""
+    edges = mesh_module.unique_edges(mesh.elements)
+    lens = metric.edge_lengths(mesh.nodes, psi.tensors, edges)
+    npb = int(getattr(opts, "npb", 0))
+    ed = adapt._Editor(mesh, u, psi, opts.qual_p)
+
+    def try_collapse(a, b):
+        fa, fb = ed.flags[a], ed.flags[b]
+        directions = []
+        if fb <= fa:
+            directions.append((a, b))
+        if fa <= fb:
+            directions.append((b, a))
+        plans = [plan for plan in (ed._plan_collapse(s, r) for s, r in directions)
+                 if plan is not None]
+        if not plans:
+            return False
+        rows = [nodes for plan in plans for _, nodes, _ in plan[3]]
+        q = adapt.quality(ed.coords, ed.tensors, rows, ed.qual_p).tolist()
+        touched = ed.node2el[a] | ed.node2el[b]
+        thresh = adapt._QUALITY_FLOOR_FACTOR * min(ed.elem_q[e] for e in touched)
+        best = None
+        k = 0
+        for plan in plans:
+            q_plan = q[k:k + len(plan[3])]
+            k += len(q_plan)
+            min_q = min(q_plan, default=np.inf)
+            if min_q <= 0.0 or min_q < thresh:
+                continue
+            if best is None or min_q > best[0]:
+                best = (min_q, plan, q_plan)
+        if best is None:
+            return False
+        ed._commit_collapse(*best[1:])
+        return True
+
+    n_collapsed = 0
+    reached = []
+    for k in np.argsort(lens, kind="stable"):
+        if lens[k] >= opts.l_low and (npb <= 0 or ed.n_alive_nodes <= npb):
+            break
+        a, b = int(edges[k, 0]), int(edges[k, 1])
+        if not (ed.alive[a] and ed.alive[b]):
+            continue
+        reached.append((a, b))
+        if ed.node2el[a] & ed.node2el[b] and try_collapse(a, b):
+            n_collapsed += 1
+    return (*ed.to_mesh(), n_collapsed), reached
+
+
+def assert_coarsen_matches_oracle(mesh, u, psi, opts):
+    m2, u2, psi2, n = adapt.coarsen_pass(mesh, u, psi, opts)
+    (m1, u1, psi1, n_ref), _ = coarsen_oracle(mesh, u, psi, opts)
+    assert n == n_ref
+    for got, want in ((m2.nodes, m1.nodes), (m2.elements, m1.elements),
+                      (m2.boundary_facets, m1.boundary_facets),
+                      (m2.facet_segments, m1.facet_segments),
+                      (u2, u1), (psi2.tensors, psi1.tensors)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert m2.boundary_node_flags == m1.boundary_node_flags
+    assert ac.validate(m2).total_defects == 0
+    return m2, n
+
+
+def sheared_metric(mesh, base):
+    """An anisotropic metric, sheared and graded in x: `base` scales the
+    diagonal, so it sets how many edges are metric-short."""
+    x = mesh.nodes[:, 0]
+    diag = np.tile(np.asarray(base, dtype=float), (mesh.num_nodes, 1))
+    diag[:, 0] *= 1.0 + 15.0 * x ** 2
+    tensors = np.einsum("ni,ij->nij", diag, np.eye(mesh.dim))
+    tensors[:, 0, 1] = tensors[:, 1, 0] = 0.4 * np.sqrt(diag[:, 0] * diag[:, 1])
+    return MetricField(tensors)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap `owner.name` so each call appends its arguments to a list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestCoarsenAgainstOracle:
+    def test_anisotropic_2d(self):
+        m = perturbed(ac.build_rect_mesh(2, 1, 25, 13), 0.02, seed=1)
+        u = np.sin(m.nodes[:, 0]) * m.nodes[:, 1]
+        psi = sheared_metric(m, [4.0, 30.0])
+        _, n = assert_coarsen_matches_oracle(m, u, psi, opts2d())
+        assert n > 40
+
+    def test_anisotropic_3d(self):
+        m = perturbed(ac.build_box_mesh(1, 1, 1, 6, 6, 6), 0.04, seed=2)
+        u = m.nodes @ np.array([1.0, -0.5, 0.25])
+        psi = sheared_metric(m, [1.0, 6.0, 3.0])
+        _, n = assert_coarsen_matches_oracle(m, u, psi, ac.AdaptOptions.for_dim(3))
+        assert n > 20
+
+    @pytest.mark.parametrize("cut", [5, 20, 40])
+    def test_budget_stops_inside_a_window(self, cut, monkeypatch):
+        # every edge is metric-long, so only the budget drives the pass
+        m = perturbed(ac.build_rect_mesh(1, 1, 13, 13), 0.02, seed=3)
+        psi = sheared_metric(m, [64.0, 64.0])
+        opts = ac.CoarsenOptions.from_trop(opts2d(), npb=m.num_nodes - cut)
+        _, reached = coarsen_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        attempts = count_calls(monkeypatch, adapt._Editor, "attempt")
+        m2, n = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        assert n == cut and m2.num_nodes == opts.npb
+        # the last window planned edges the one-at-a-time loop never reached
+        assert {args[1:] for args in attempts} - set(reached)
+
+    def test_everything_short_keeps_corners_and_boundary(self):
+        m = ac.build_rect_mesh(1, 1, 9, 9)
+        psi = uniform_metric(m, 1e-4 * np.eye(2))
+        u = np.arange(m.num_nodes, dtype=float)
+        m2, n = assert_coarsen_matches_oracle(m, u, psi, opts2d())
+        assert n > 0
+        corners = {(-1, -1), (1, -1), (1, 1), (-1, 1)}
+        assert corners <= {tuple(np.round(p, 9)) for p in m2.nodes}
+        assert set(m2.facet_segments.tolist()) == {1, 2, 3, 4}
+
+    def test_window_replans_two_short_edges_at_one_vertex(self, monkeypatch):
+        # h = 0.25 and metric 16 I: every edge is metric-long but three. The
+        # shortest, near the top, fills the first window alone; the two at
+        # the corner c share c and fill the second, so the second of them
+        # is planned again after the corner keeps c and removes the first
+        m = ac.build_rect_mesh(1, 1, 9, 9)
+        nodes = m.nodes.copy()
+
+        def node(x, y):
+            return int(np.flatnonzero((np.abs(nodes - [x, y]) < 1e-12).all(axis=1))[0])
+
+        c, q1, q2, y, top = (node(-1, -1), node(-0.75, -1), node(-1, -0.75),
+                             node(0, 0.75), node(0, 1))
+        nodes[q1], nodes[q2], nodes[y] = [-0.85, -1], [-1, -0.845], [0, 0.89]
+        m = ac.SimplicialMesh(2, nodes, m.elements, m.boundary_facets,
+                              m.facet_segments, m.boundary_node_flags, m.box)
+        psi = uniform_metric(m, 16.0 * np.eye(2))
+        opts = opts2d()
+        lens = metric.edge_lengths(m.nodes, psi.tensors, mesh_module.unique_edges(m.elements))
+        assert (lens < opts.l_low).sum() == 3
+        attempts = count_calls(monkeypatch, adapt._Editor, "attempt")
+        _, n = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        assert n == 3
+        assert [args[1:] for args in attempts] == [(y, top), (c, q1), (c, q2), (c, q2)]
+
+
+class TestCoarsenKernelCalls:
+    def test_windows_call_the_kernel_far_less_than_one_per_attempt(self, monkeypatch):
+        # h = 1/24 and metric 320 I: the jitter makes 1.8k edges short, in
+        # an order that scatters them over the mesh
+        m = perturbed(ac.build_rect_mesh(2, 1, 97, 49), 0.005, seed=4)
+        u = np.cos(m.nodes[:, 0])
+        psi = uniform_metric(m, 320.0 * np.eye(2))
+        opts = opts2d()
+        calls = count_calls(monkeypatch, adapt, "quality")
+        (_, _, _, n_ref), reached = coarsen_oracle(m, u, psi, opts)
+        oracle_calls = len(calls)
+        assert len(reached) >= 1000
+        del calls[:]
+        assert adapt.coarsen_pass(m, u, psi, opts)[3] == n_ref
+        assert 3 * len(calls) < oracle_calls
+
+
 def refine_oracle(mesh, u, psi, opts):
     """The refine pass `adapt.refine_pass` replaced, kept as its bitwise
     reference: it splits the marked edges of a round one at a time, in
