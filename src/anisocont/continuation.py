@@ -26,6 +26,8 @@ XI_WEIGHT = 0.5
 BACKWARD_TOL = 1e-12          # accepted normwise backward error of a solve
 MAX_SWEEPS = 8                # refinement sweeps on a kept LU before refactoring
 NUDGE = 1e-10                 # last-resort diagonal shift of a singular tangent system
+INVERSE_TOL = 1e-10           # eigenvector change that ends inverse iteration
+INVERSE_MAX_IT = 50
 
 
 class ContinuationError(RuntimeError):
@@ -45,7 +47,7 @@ class ContinuationSettings:
     bif_detection: bool = True
     param_min: float | None = None
     param_max: float | None = None
-    bp_param_tol: float = 1e-4    # bisection bracket width for branch points
+    bp_param_tol: float = 1e-4    # bound on a branch point's bracket or |mu| / |dmu/dp|
     switch_delta: float = 0.1
 
     def __post_init__(self):
@@ -237,10 +239,14 @@ class BorderedSolver:
     Counts: `factorizations` (every LU this solver made, full bordered ones
     included), `refactors` (LUs made because refinement on a kept LU fell
     short), `refinements` (sweeps) and `fallbacks` (full bordered LUs).
+
+    `count_lu` is `(J, lu)`, the LU of a stability count at the state whose
+    Jacobian is J (see `stability_index`), or None. The solver drops it
+    when it factors or is released, so a workspace holds one LU at a time.
     """
 
     def __init__(self, J=None, norm=None):
-        self.J = self.lu = self.error = None
+        self.J = self.lu = self.error = self.count_lu = None
         self._norm = norm or _inf_norm
         self.fresh = True
         self.factorizations = self.refactors = self.refinements = 0
@@ -260,8 +266,8 @@ class BorderedSolver:
             self.fresh = False
 
     def release(self):
-        """Drops J and the LU; the next `update` factors."""
-        self.J = self.lu = None
+        """Drops J and the LUs; the next `update` factors."""
+        self.J = self.lu = self.count_lu = None
 
     def _set(self, J):
         self.J = sp.csc_matrix(J)
@@ -270,7 +276,7 @@ class BorderedSolver:
     def _factor(self):
         self.factorizations += 1
         self.fresh = True
-        self.lu = None                       # never hold two LUs at once
+        self.lu = self.count_lu = None       # never hold two LUs at once
         try:
             self.lu, self.error = factorize(self.J), None
         except RuntimeError as exc:          # SuperLU: exactly singular
@@ -534,13 +540,6 @@ def _reduced_symmetric(work, u, prob):
     return work.pattern.reduced_symmetric(work.jacobian(u, prob))
 
 
-def _shift_invert(A):
-    """A^-1 as an operator for shift-invert Lanczos at sigma = 0, factored
-    once with `factorize` and reused by every eigsh call on the pencil."""
-    lu = factorize(A)
-    return spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-
-
 def stability_index(mesh, u, prob, work=None):
     """Count of negative eigenvalues of the Dirichlet-reduced pencil (A, M),
     where A is the symmetric part of the reduced Jacobian J.
@@ -563,25 +562,28 @@ def stability_index(mesh, u, prob, work=None):
     The count first releases the workspace's LU (`work.solver`), so the
     workspace never holds it beside the count's own: with detection on,
     the next solve factors afresh, as each step did before the LU was kept.
+    A certified count leaves its LU as the solver's `count_lu`, on which
+    `critical_eigenpair` finds the eigenvalue nearest 0 without a new LU.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
     work.solver.release()            # one LU at a time
-    A = _reduced_symmetric(work, u, prob)
-    n = A.shape[0]
-    if n == 0:
+    J = work.jacobian(u, prob)
+    A = work.pattern.reduced_symmetric(J)
+    if A.shape[0] == 0:
         return 0
-    count, reason = _inertia(A)
-    if count is not None:
-        return count
-    logger.warning("inertia count rejected (%s); counting eigenvalues by "
-                   "shift-invert", reason)
-    return _shift_invert_count(A, work.M_free)
+    count, lu = _inertia(A)
+    if count is None:
+        logger.warning("inertia count rejected (%s); counting eigenvalues by "
+                       "shift-invert", lu)
+        return _shift_invert_count(A, work.M_free)
+    work.solver.count_lu = (J, lu)
+    return count
 
 
 def _inertia(A):
-    """(negative pivot count, None) of the L D L' factors of symmetric A, or
-    (None, reason) when the factors do not certify it."""
+    """(negative pivot count, LU) of the L D L' factors of symmetric A, or
+    (None, reason) when the factors do not certify the count."""
     try:
         lu = factorize(A, diag_pivot_thresh=0.0)
     except RuntimeError as exc:          # SuperLU: exactly singular
@@ -594,19 +596,20 @@ def _inertia(A):
                                        + np.max(np.abs(b)))
     if not err <= BACKWARD_TOL:
         return None, f"backward error {err:.1e}"
-    return int(np.sum(lu.U.diagonal() < 0)), None
+    return int(np.sum(lu.U.diagonal() < 0)), lu
 
 
 def _shift_invert_count(A, B):
-    """Eigenvalues of (A, B) below zero by shift-invert Lanczos, widening the
-    window until it holds them all; None when the solve fails."""
+    """Eigenvalues of (A, B) below zero by shift-invert Lanczos on one LU of
+    A, widening the window until it holds them all; None when it fails."""
     n = A.shape[0]
     tol = 1e-10
     try:
-        OPinv = _shift_invert(A)
+        lu = factorize(A)
     except RuntimeError as exc:
         logger.warning("factorizing the reduced pencil failed: %s", exc)
         return None
+    OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     k = 16
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
@@ -629,25 +632,48 @@ def _shift_invert_count(A, B):
         k *= 2
 
 
-def critical_eigenpair(mesh, u, prob, work=None):
-    """Eigenpair of the reduced pencil closest to zero; eigenvector embedded
-    with zeros at Dirichlet nodes. Raises ContinuationError when the
-    eigensolve fails."""
+def critical_eigenpair(mesh, u, prob, work=None, v0=None):
+    """Eigenpair (mu, phi) of the reduced pencil (A, M) closest to zero, by
+    inverse iteration from the nodal vector v0 (a fixed random one when
+    None) until phi changes by at most INVERSE_TOL. It runs on the stability
+    count's LU when the workspace's solver still holds the one of this
+    state, else on a new LU of A. phi is zero at Dirichlet nodes, and its
+    entry of largest modulus is 1. Raises ContinuationError when A cannot
+    be factored or the iteration is not finite."""
     if work is None:
         work = FemWorkspace(mesh, prob)
-    A, B = _reduced_symmetric(work, u, prob), work.M_free
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    try:
-        w, V = spla.eigsh(A, k=1, M=B, sigma=0.0, which="LM", v0=v0,
-                          OPinv=_shift_invert(A))
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise ContinuationError(f"critical eigenpair solve failed: {exc}") from exc
+    J = work.jacobian(u, prob)
+    held = work.solver.count_lu
+    if held is not None and held[0] is J:
+        lu = held[1]
+    else:
+        work.solver.release()            # one LU at a time
+        try:
+            lu = factorize(work.pattern.reduced_symmetric(J))
+        except RuntimeError as exc:
+            raise ContinuationError(f"critical eigenpair solve failed: {exc}") \
+                from exc
+    B = work.M_free
+    x = np.random.default_rng(0).standard_normal(B.shape[0]) if v0 is None \
+        else v0[work.free]
+    x = x / np.max(np.abs(x))
+    for _ in range(INVERSE_MAX_IT):
+        Bx = B @ x
+        y = lu.solve(Bx)
+        mu = float(y @ Bx) / float(y @ (B @ y))   # Rayleigh quotient: A y = B x
+        if not math.isfinite(mu):
+            raise ContinuationError("inverse iteration is not finite")
+        y *= math.copysign(1.0, mu) / np.max(np.abs(y))     # keeps x's sign
+        change = float(np.max(np.abs(y - x)))
+        x = y
+        if change <= INVERSE_TOL:
+            break
+    else:
+        logger.warning("inverse iteration did not converge in %d steps",
+                       INVERSE_MAX_IT)
     phi = np.zeros(mesh.num_nodes)
-    phi[work.free] = V[:, 0]
-    nrm = float(np.max(np.abs(phi)))
-    if nrm > 0:
-        phi /= nrm
-    return float(w[0]), phi
+    phi[work.free] = x * math.copysign(1.0, x[np.argmax(np.abs(x))])
+    return mu, phi
 
 
 def make_record(state, work, n_neg=None, flag=""):
@@ -666,53 +692,68 @@ def make_record(state, work, n_neg=None, flag=""):
 def detect_bifurcation(prev_state, prev_n_neg, new_state, new_n_neg, ds_used,
                        settings, work):
     """Localize an eigenvalue crossing between two consecutive accepted
-    states by bisection in arclength along the previous tangent."""
-    t = prev_state.tangent
-    n = len(prev_state.u)
+    states on mu(s), the eigenvalue of the reduced pencil nearest 0 at
+    arclength s along the previous tangent, whose sign change is the count
+    change (Govaerts 2000; Seydel 2010). mu comes from `critical_eigenpair`
+    on the LU of each point's count; at the previous state, which has none,
+    it is the Rayleigh quotient of the new state's eigenvector. Steps are
+    Illinois regula falsi in s, or bisection when the count changed by more
+    than 1 or disagrees with the sign of mu at a bracket end. The search
+    stops when the parameter bracket, or |mu| over the secant slope dmu/dp,
+    is below `bp_param_tol`. The event reports the last corrected point, as
+    `approximate` when a corrector, count or eigensolve fails first."""
+    t, n, mesh = prev_state.tangent, len(prev_state.u), prev_state.mesh
     base_u, base_p = prev_state.u, prev_state.prob.get_param()
-
-    def solve_at(s):
-        u_pred = base_u + s * t[:n]
-        p_pred = base_p + s * float(t[n])
-        u, p, _, ok = _correct(work, prev_state.prob, u_pred, p_pred, base_u,
-                               base_p, t, s, settings.newton_tol,
-                               settings.newton_max_it)
-        if not ok:
-            return None
-        pr = prev_state.prob.copy()
-        pr.set_param(p)
-        return u, p, pr
-
-    lo, hi = 0.0, ds_used
-    p_lo, p_hi = base_p, new_state.prob.get_param()
-    n_lo = prev_n_neg
-    mid_sol = (new_state.u, p_hi, new_state.prob)
-    approximate = True
+    sign = 1.0 if new_n_neg > prev_n_neg else -1.0     # the sign of mu at s = 0
+    mu, phi = critical_eigenpair(mesh, new_state.u, new_state.prob, work)
+    w = phi[work.free]
+    mu_lo = float(w @ (_reduced_symmetric(work, base_u, prev_state.prob) @ w)
+                  / (w @ (work.M_free @ w)))
+    # bracket ends: s, param, Illinois-scaled mu, mu's sign agrees with count
+    ends = [[0.0, base_p, mu_lo, sign * mu_lo >= 0],
+            [ds_used, new_state.prob.get_param(), mu, sign * mu <= 0]]
+    last, point = (base_p, mu_lo), (new_state.u, new_state.prob, mu, phi)
+    kept, reason = None, "no convergence in 60 steps"
     for _ in range(60):
-        if abs(p_hi - p_lo) < settings.bp_param_tol:
-            approximate = False
+        (s_lo, p_lo, f_lo, ok_lo), (s_hi, p_hi, f_hi, ok_hi) = ends
+        p, mu = point[1].get_param(), point[2]
+        if abs(p_hi - p_lo) < settings.bp_param_tol or (ok_lo and ok_hi and (
+                abs(mu * (p - last[0])) < settings.bp_param_tol
+                * abs(mu - last[1]))):
+            reason = None
             break
-        s = 0.5 * (lo + hi)
-        sol = solve_at(s)
-        if sol is None:
-            logger.warning("branch point bisection corrector failed; "
-                           "reporting approximate location")
+        s = 0.5 * (s_lo + s_hi)
+        if abs(new_n_neg - prev_n_neg) == 1 and ok_lo and ok_hi and f_lo != f_hi:
+            s_rf = s_lo - f_lo * (s_hi - s_lo) / (f_hi - f_lo)
+            s = s_rf if s_lo < s_rf < s_hi else s
+        u, p_s, _, ok = _correct(work, prev_state.prob, base_u + s * t[:n],
+                                 base_p + s * float(t[n]), base_u, base_p, t,
+                                 s, settings.newton_tol, settings.newton_max_it)
+        prob = prev_state.prob.copy()
+        prob.set_param(p_s)
+        count = stability_index(mesh, u, prob, work) if ok else None
+        if count is None:
+            reason = "stability count failed" if ok else "corrector failed"
             break
-        u_mid, p_mid, prob_mid = sol
-        n_mid = stability_index(prev_state.mesh, u_mid, prob_mid, work)
-        if n_mid is None:
+        try:
+            mu_s, phi = critical_eigenpair(mesh, u, prob, work, phi)
+        except ContinuationError as exc:
+            reason = str(exc)
             break
-        mid_sol = sol
-        if n_mid == n_lo:
-            lo, p_lo = s, p_mid
-        else:
-            hi, p_hi = s, p_mid
-    u_bp, p_bp, prob_bp = mid_sol
-    _, phi = critical_eigenpair(prev_state.mesh, u_bp, prob_bp, work)
-    return BPEvent(step=new_state.step_index, param=0.5 * (p_lo + p_hi),
-                   u=u_bp, mesh=prev_state.mesh, phi=phi,
-                   n_neg_before=prev_n_neg, n_neg_after=new_n_neg,
-                   approximate=approximate)
+        last, point = (p, mu), (u, prob, mu_s, phi)
+        side = int(count != prev_n_neg)
+        ends[side] = [s, p_s, mu_s, sign * mu_s >= 0 if side == 0
+                      else count == new_n_neg and sign * mu_s <= 0]
+        if kept == 1 - side:
+            ends[kept][2] *= 0.5        # Illinois: an end kept twice
+        kept = 1 - side
+    if reason is not None:
+        logger.warning("branch point localization stopped (%s); reporting "
+                       "the last corrected point as approximate", reason)
+    u_bp, prob_bp, _, phi = point
+    return BPEvent(step=new_state.step_index, param=float(prob_bp.get_param()),
+                   u=u_bp, mesh=mesh, phi=phi, n_neg_before=prev_n_neg,
+                   n_neg_after=new_n_neg, approximate=reason is not None)
 
 
 def branch_switch(state, phi, settings, work=None, delta=None):

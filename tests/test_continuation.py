@@ -158,7 +158,8 @@ class TestStabilityIndex:
                                                  + 0.1)
             A = (S + sp.diags(diag)).tocsc()
             expected = int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0))
-            assert ct._inertia(A) == (expected, None)
+            count, lu = ct._inertia(A)
+            assert count == expected and lu.shape == A.shape
 
     def test_zero_diagonal_is_rejected(self):
         # a zero diagonal forces an off-diagonal pivot, and U's diagonal no
@@ -1170,3 +1171,182 @@ class TestShiftInvert:
         phi_d[work.free] = V[:, j] / np.max(np.abs(V[:, j]))
         assert val == pytest.approx(val_d, rel=1e-8)
         assert abs(abs(phi @ phi_d) / (phi_d @ phi_d) - 1.0) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# branch points on the test function mu(s), the eigenvalue nearest 0
+
+def pencil_eigenvalues(mesh):
+    """Dense eigenvalues of the Dirichlet-reduced (K, M): on the trivial
+    branch J = K - lambda M, so these are its discrete branch points."""
+    work = ct.FemWorkspace(mesh, cos_problem())
+    free = work.free
+    return scipy.linalg.eigh(work.K1[free][:, free].toarray(),
+                             work.M_free.toarray(), eigvals_only=True)
+
+
+def crossing_step(mesh, lam0, ds=0.05):
+    """Two accepted trivial-branch states from lam0 that straddle one count
+    change, as `run_continuation` hands them to `detect_bifurcation`: the
+    new state counted last on the workspace."""
+    prob = cos_problem(d=0.0, lam=lam0)
+    settings = ct.ContinuationSettings(ds0=ds, ds_max=ds, bif_detection=True)
+    work = ct.FemWorkspace(mesh, prob)
+    state = ct.ContinuationState(mesh, np.zeros(mesh.num_nodes), prob, ds=ds)
+    seed = np.zeros(mesh.num_nodes + 1)
+    seed[-1] = 1.0
+    state.tangent = ct.compute_tangent(work, state.u, prob, seed)
+    n_lo = ct.stability_index(mesh, state.u, prob, work)
+    new, info = ct.cont_step(state, settings, work)
+    n_hi = ct.stability_index(mesh, new.u, new.prob, work)
+    assert n_hi == n_lo + 1
+    return state, n_lo, new, n_hi, info["ds_used"], settings, work
+
+
+class TestBranchPointLocalization:
+    def test_located_at_discrete_eigenvalues(self, run):
+        eig = pencil_eigenvalues(run.state.mesh)
+        bps = [e for e in run.events if isinstance(e, ct.BPEvent)]
+        assert len(bps) == 3
+        for bp, expected in zip(bps, eig[:3]):
+            assert not bp.approximate
+            assert abs(bp.param - expected) < 1e-6
+
+    def test_simple_crossings_take_at_most_two_counts(self, monkeypatch):
+        inside, per_bp = [], []
+        real_count, real_detect = ct.stability_index, ct.detect_bifurcation
+
+        def count(*args):
+            if inside:
+                per_bp[-1] += 1
+            return real_count(*args)
+
+        def detect(*args):
+            inside.append(True)
+            per_bp.append(0)
+            try:
+                return real_detect(*args)
+            finally:
+                inside.pop()
+
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh is only the count's fallback")
+
+        monkeypatch.setattr(ct, "stability_index", count)
+        monkeypatch.setattr(ct, "detect_bifurcation", detect)
+        monkeypatch.setattr(spla, "eigsh", no_eigsh)
+        m = cos_mesh(25, 13)
+        settings = ct.ContinuationSettings(ds0=0.02, ds_max=0.05, nsteps=60,
+                                           ds_min=1e-8, bif_detection=True,
+                                           param_max=0.9)
+        result = ct.run_continuation(
+            ct.ContinuationState(m, np.zeros(m.num_nodes),
+                                 cos_problem(d=0.0, lam=-0.2), ds=0.02),
+            settings)
+        bps = [e for e in result.events if isinstance(e, ct.BPEvent)]
+        assert len(bps) == len(per_bp) == 3
+        assert not any(bp.approximate for bp in bps)
+        assert all(calls <= 2 for calls in per_bp), per_bp
+
+    @pytest.mark.parametrize("state", ["trivial", "switched_state"])
+    def test_critical_eigenpair_matches_dense(self, state, request):
+        if state == "trivial":
+            m = cos_mesh(25, 13)
+            u, prob = np.zeros(m.num_nodes), cos_problem(d=0.0, lam=0.45)
+        else:
+            m, u, prob = request.getfixturevalue(state)
+        val, phi = ct.critical_eigenpair(m, u, prob)
+        work = ct.FemWorkspace(m, prob)
+        w, V = scipy.linalg.eigh(ct._reduced_symmetric(work, u, prob).toarray(),
+                                 work.M_free.toarray())
+        j = int(np.argmin(np.abs(w)))
+        phi_d = np.zeros(m.num_nodes)
+        phi_d[work.free] = V[:, j] / np.max(np.abs(V[:, j]))
+        assert val == pytest.approx(w[j], rel=1e-8)
+        assert abs(abs(phi @ phi_d) / (phi_d @ phi_d) - 1.0) < 1e-8
+
+    def test_critical_eigenpair_reuses_the_count_lu(self, monkeypatch):
+        m = cos_mesh(21, 11)
+        u, prob = np.zeros(m.num_nodes), cos_problem(d=0.0, lam=0.4)
+        work = ct.FemWorkspace(m, prob)
+        assert ct.stability_index(m, u, prob, work) == 1
+        lus = []
+        real = ct.factorize
+        monkeypatch.setattr(ct, "factorize",
+                            lambda *a, **k: lus.append(1) or real(*a, **k))
+        val, _ = ct.critical_eigenpair(m, u, prob, work)
+        assert not lus                    # inverse iteration on the count's LU
+        assert ct.critical_eigenpair(m, u, prob)[0] == pytest.approx(val,
+                                                                    rel=1e-10)
+        assert len(lus) == 1              # a fresh workspace factors once
+        # the solver drops the count's LU before it factors its own
+        work.solver.factor(work.jacobian(u, prob))
+        assert work.solver.count_lu is None
+
+    def test_corrector_failure_is_approximate(self, monkeypatch, caplog):
+        args = crossing_step(cos_mesh(17, 9), 0.29)
+        new = args[2]
+        monkeypatch.setattr(ct, "_correct",
+                            lambda work, prob, u, p, *rest: (u, p, 0, False))
+        with caplog.at_level(logging.WARNING, logger=ct.logger.name):
+            bp = ct.detect_bifurcation(*args)
+        assert bp.approximate
+        assert "corrector failed" in caplog.text
+        # the last corrected point is the new state
+        assert bp.param == new.prob.get_param() and bp.u is new.u
+
+    def test_count_failure_is_approximate(self, monkeypatch, caplog):
+        args = crossing_step(cos_mesh(17, 9), 0.29)
+        monkeypatch.setattr(ct, "stability_index", lambda *a: None)
+        with caplog.at_level(logging.WARNING, logger=ct.logger.name):
+            bp = ct.detect_bifurcation(*args)
+        assert bp.approximate
+        assert "stability count failed" in caplog.text
+        assert bp.param == args[2].prob.get_param()
+
+    def test_double_crossing_by_bisection(self):
+        # on a square the Dirichlet modes (1, 2) and (2, 1) share an
+        # eigenvalue, also on the mesh, so the count jumps by 2 in one step
+        m = ac.build_rect_mesh(np.pi, np.pi, 13, 13)
+        eig = pencil_eigenvalues(m)
+        assert eig[2] - eig[1] < 1e-10 * eig[1]
+        settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.05, nsteps=8,
+                                           bif_detection=True)
+        result = ct.run_continuation(
+            ct.ContinuationState(m, np.zeros(m.num_nodes),
+                                 cos_problem(d=0.0, lam=1.0), ds=0.05),
+            settings)
+        bps = [e for e in result.events if isinstance(e, ct.BPEvent)]
+        assert len(bps) == 1
+        bp = bps[0]
+        assert (bp.n_neg_before, bp.n_neg_after) == (1, 3)
+        assert not bp.approximate
+        assert abs(bp.param - eig[1]) < settings.bp_param_tol
+
+    def test_bp_state_solves_at_its_parameter(self):
+        # with gamma = 0.2 the branch switched off the trivial branch at its
+        # second branch point folds back and then loses stability at a
+        # branch point of its own, far from u = 0
+        m = cos_mesh(25, 13)
+        gamma = 0.2
+        settings = ct.ContinuationSettings(ds0=0.03, ds_max=0.05, nsteps=20,
+                                           bif_detection=True, param_max=0.6)
+        trivial = ct.run_continuation(
+            ct.ContinuationState(m, np.zeros(m.num_nodes),
+                                 cos_problem(d=0.0, lam=0.2, gamma=gamma),
+                                 ds=0.03), settings)
+        bp = [e for e in trivial.events if isinstance(e, ct.BPEvent)][1]
+        prob = cos_problem(d=0.0, lam=bp.param, gamma=gamma)
+        settings = replace(settings, ds_max=0.1, nsteps=40, param_max=1.5)
+        start = ct.branch_switch(ct.ContinuationState(m, bp.u, prob, ds=0.03),
+                                 bp.phi, settings)
+        result = ct.run_continuation(start, settings)
+        bps = [e for e in result.events if isinstance(e, ct.BPEvent)]
+        assert len(bps) == 1 and not bps[0].approximate
+        bp = bps[0]
+        assert np.abs(bp.u).max() > 1.0
+        prob.set_param(bp.param)
+        residual = ct.FemWorkspace(m, prob).residual(bp.u, prob)
+        assert np.abs(residual).max() <= settings.newton_tol
+        assert [r.param_value for r in result.records
+                if r.flag == "BP"] == [bp.param]
