@@ -15,14 +15,14 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
 
 from .mesh import (SimplicialMesh, _facet_keys, _node_flags, _p1_weights,
-                   _slots_by_count, _unique_rows, facet_topology, quality,
-                   signed_volumes, unique_edges, validate)
+                   _pairs, _slots_by_count, facet_topology, quality,
+                   signed_volumes, sub_simplices, validate)
 from .metric import MetricField, EtaPolicy, edge_lengths, metric_for_field
 
 logger = logging.getLogger(__name__)
@@ -117,11 +117,10 @@ class CoarsenOptions(AdaptOptions):
 
     @classmethod
     def from_trop(cls, trop, **overrides):
-        base = {k: getattr(trop, k) for k in
-                ("eta_policy", "ppar", "innerit", "l_low", "l_up", "qual_p",
-                 "field_selector")}
-        base.update(overrides)
-        return cls(**base)
+        """The options of `trop`, with sw, npb and crmax at the coarsening
+        defaults unless `overrides` sets them."""
+        base = {f.name: getattr(trop, f.name) for f in fields(AdaptOptions)}
+        return cls(**{**base, "sw": cls.sw, **overrides})
 
 
 @dataclass
@@ -157,13 +156,6 @@ class TwoStepStats:
             lines.extend("coarsen-step " + ln for ln in st.to_lines())
         lines.extend(self.adapt_stats.to_lines())
         return lines
-
-
-def max_metric_edge_length(mesh, psi):
-    edges = unique_edges(mesh.elements)
-    if len(edges) == 0:
-        return 0.0
-    return float(edge_lengths(mesh.nodes, psi.tensors, edges).max())
 
 
 class _Editor:
@@ -318,29 +310,29 @@ class _Editor:
         self.n_alive_nodes -= 1
 
     def to_mesh(self):
-        elements = np.array([e for e in self.elems if e is not None],
-                            dtype=np.int64)
+        """Mesh (`_normal_form`), field and metric on the alive nodes."""
+        keep = np.flatnonzero(self.alive)
+        remap = np.cumsum(self.alive) - 1       # the new ids of the alive nodes
+        elements = np.array([e for e in self.elems if e is not None], dtype=np.int64)
         facets = np.array(list(self.facets), dtype=np.int64).reshape(
             len(self.facets), self.mesh.dim)
         segs = np.fromiter(self.facets.values(), dtype=np.int64,
                            count=len(self.facets))
-        return _coarsened(self.mesh, self.u, self.tensors,
-                          np.flatnonzero(self.alive), elements, facets, segs)
+        new_mesh = _normal_form(self.mesh, self.coords[keep], remap[elements],
+                                remap[facets], segs)
+        return new_mesh, self.u[keep], MetricField(self.tensors[keep])
 
 
-def _coarsened(mesh, u, tensors, keep, elements, facets, segs):
-    """Mesh, field and metric on the ascending node ids `keep`, in the
-    normal form of every coarsen result: each facet row sorted, rows in
-    lexicographic order, node flags from `_node_flags`."""
-    remap = -np.ones(mesh.num_nodes, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    facets = np.sort(remap[facets], axis=1)
+def _normal_form(mesh, nodes, elements, facets, segs):
+    """A mesh of `mesh`'s box in the normal form of every coarsen and refine
+    result: each facet row sorted, rows in lexicographic order, node flags
+    from `_node_flags`."""
+    facets = np.sort(facets, axis=1)
     order = np.lexsort(facets.T[::-1])
     facets, segs = facets[order], np.asarray(segs, dtype=np.int64)[order]
-    flags, _, _ = _node_flags(len(keep), facets, segs)
-    new_mesh = SimplicialMesh(mesh.dim, mesh.nodes[keep], remap[elements],
-                              facets, segs, flags, mesh.box.copy())
-    return new_mesh, np.asarray(u, dtype=float)[keep], MetricField(tensors[keep])
+    flags, _, _ = _node_flags(len(nodes), facets, segs)
+    return SimplicialMesh(mesh.dim, nodes, elements, facets, segs, flags,
+                          mesh.box.copy())
 
 
 def coarsen_pass(mesh, u, psi, opts):
@@ -359,7 +351,7 @@ def coarsen_pass(mesh, u, psi, opts):
     the pass is that of trying one edge at a time. The window halves after
     re-planning and doubles otherwise, within `_WINDOW_MIN.._WINDOW_MAX`.
     """
-    edges = unique_edges(mesh.elements)
+    edges = mesh.edges()
     lens = edge_lengths(mesh.nodes, psi.tensors, edges)
     order = np.argsort(lens, kind="stable")
     pairs = edges[order]
@@ -370,9 +362,8 @@ def coarsen_pass(mesh, u, psi, opts):
         return long[i] and (npb <= 0 or n_alive <= npb)
 
     if len(order) == 0 or done(0, mesh.num_nodes):
-        return (*_coarsened(mesh, u, psi.tensors, np.arange(mesh.num_nodes),
-                            mesh.elements, mesh.boundary_facets,
-                            mesh.facet_segments), 0)
+        return (_normal_form(mesh, mesh.nodes, mesh.elements, mesh.boundary_facets,
+                             mesh.facet_segments), np.array(u, dtype=float), psi, 0)
     ed = _Editor(mesh, u, psi, opts.qual_p)
     alive = ed.alive
     n_collapsed, i, width = 0, 0, _WINDOW_MIN
@@ -417,8 +408,7 @@ def refine_pass(mesh, u, psi, opts):
     k, by descending length and then node ids, is node n + k. Rounds repeat
     until no element violates the bound, or warn after `_MAX_REFINE_ROUNDS`.
     """
-    d = mesh.dim
-    pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    pairs = _pairs(mesh.dim + 1)
     coords, tensors = mesh.nodes, psi.tensors
     u = np.array(u, dtype=float)
     elems = np.asarray(mesh.elements, dtype=np.int64)
@@ -426,14 +416,9 @@ def refine_pass(mesh, u, psi, opts):
     segs = np.asarray(mesh.facet_segments, dtype=np.int64)
     n_split = 0
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
-        # one length per unique edge, keyed a * n + b for a < b (swapped
-        # endpoints give the same bits)
-        n = len(coords)
-        ends = elems[:, pairs]
-        keys, inverse = np.unique((ends.min(axis=2) * n + ends.max(axis=2)).ravel(),
-                                  return_inverse=True)
-        lens = edge_lengths(coords, tensors, np.column_stack(np.divmod(keys, n)))
-        lens = lens[inverse].reshape(len(elems), len(pairs))
+        # one length per unique edge (swapped endpoints give the same bits)
+        edges, elem_edges, _ = sub_simplices(elems, len(coords), pairs)
+        lens = edge_lengths(coords, tensors, edges)[elem_edges]
         longest = lens.max(axis=1)
         viol = np.nonzero(longest > opts.l_up)[0]
         if viol.size == 0:
@@ -442,9 +427,9 @@ def refine_pass(mesh, u, psi, opts):
             logger.warning("refine stopped after %d rounds with %d elements "
                            "still above l_up", rnd, viol.size)
             break
-        which = np.array(pairs)[lens[viol].argmax(axis=1)]
-        ends = np.sort(np.take_along_axis(elems[viol], which, axis=1), axis=1)
-        ends, inverse = _unique_rows(ends, len(coords))
+        marked = elem_edges[viol, lens[viol].argmax(axis=1)]
+        marked, inverse = np.unique(marked, return_inverse=True)
+        ends = edges[marked]
         length = np.full(len(ends), -np.inf)
         np.maximum.at(length, inverse, longest[viol])
         a, b = ends[np.lexsort((ends[:, 1], ends[:, 0], -length))].T
@@ -453,12 +438,8 @@ def refine_pass(mesh, u, psi, opts):
         u = np.concatenate([u, 0.5 * (u[a] + u[b])])
         tensors = np.concatenate([tensors, 0.5 * (tensors[a] + tensors[b])])
         n_split += len(a)
-    facets = np.sort(facets, axis=1)
-    order = np.lexsort(facets.T[::-1])
-    facets, segs = facets[order], segs[order]
-    flags, _, _ = _node_flags(len(coords), facets, segs)
-    new_mesh = SimplicialMesh(d, coords, elems, facets, segs, flags, mesh.box.copy())
-    return new_mesh, u, MetricField(tensors), n_split
+    return (_normal_form(mesh, coords, elems, facets, segs), u, MetricField(tensors),
+            n_split)
 
 
 def _bisect(elems, facets, segs, a, b, n):
@@ -483,7 +464,7 @@ def _bisect(elems, facets, segs, a, b, n):
         """Rank of the marked edge at each vertex pair of `rows`, else m;
         also the (vertex, pair) incidence of the pairs."""
         nv = rows.shape[1]
-        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        pairs = _pairs(nv)
         keys = _facet_keys(np.sort(rows[:, pairs], axis=2).reshape(-1, 2), n)
         pos = np.minimum(np.searchsorted(mkeys, keys, sorter=by_key), m - 1)
         rank = np.where(mkeys[by_key[pos]] == keys, by_key[pos], m)
@@ -552,7 +533,7 @@ def move_pass(mesh, u, psi, opts):
     d = mesh.dim
     n = mesh.num_nodes
     nodes, elements, tensors = mesh.nodes, mesh.elements, psi.tensors
-    a, b = unique_edges(elements).T
+    a, b = mesh.edges().T
     _, seg_ids, member = _node_flags(n, mesh.boundary_facets, mesh.facet_segments)
     n_segs = member.sum(axis=1)
     face = member.argmax(axis=1)
@@ -616,11 +597,8 @@ def move_pass(mesh, u, psi, opts):
         u_new[moved] = (lam * u_old[verts]).sum(axis=1)
         tensors_new[moved] = sum(lam[:, v, None, None] * tensors[verts[:, v]]
                                  for v in range(d + 1))
-    new_mesh = SimplicialMesh(d, coords, elements.copy(),
-                              mesh.boundary_facets.copy(),
-                              mesh.facet_segments.copy(),
-                              list(mesh.boundary_node_flags), mesh.box.copy())
-    return new_mesh, u_new, MetricField(tensors_new), len(moved)
+    return (replace(mesh, nodes=coords, _locator=None), u_new, MetricField(tensors_new),
+            len(moved))
 
 
 def swap_pass(mesh, u, psi, opts):
@@ -634,9 +612,18 @@ def swap_pass(mesh, u, psi, opts):
     first); a candidate whose elements an earlier swap of the same sweep
     rewired is skipped, and the next sweep sees it again.
     """
-    if mesh.dim == 2:
-        return _swap_2d(mesh, u, psi, opts)
-    return _swap_3d(mesh, u, psi, opts)
+    sweep = _swap_sweep_2d if mesh.dim == 2 else _swap_sweep_3d
+    coords, tensors = mesh.nodes, psi.tensors
+    elems = mesh.elements.copy()
+    elem_q = quality(coords, tensors, elems, opts.qual_p)
+    n_swaps = 0
+    for _ in range(_SWAP_SWEEPS):
+        elems, elem_q, swaps = sweep(coords, tensors, elems, elem_q, opts.qual_p)
+        n_swaps += swaps
+        if swaps == 0:
+            break
+    return (replace(mesh, elements=elems, _locator=None), np.array(u, dtype=float),
+            psi, n_swaps)
 
 
 def _take_disjoint(groups, used):
@@ -658,110 +645,86 @@ def _oriented(simplices, vols):
     return np.where((vols > 0.0)[..., None], simplices, flipped)
 
 
-def _swap_2d(mesh, u, psi, opts):
-    coords, tensors = mesh.nodes, psi.tensors
-    n = mesh.num_nodes
-    elems = mesh.elements.copy()
-    elem_q = quality(coords, tensors, elems, opts.qual_p)
-    n_flips = 0
-    for _ in range(_SWAP_SWEEPS):
-        edges, elem_edges, counts = facet_topology(elems, n)
-        # per interior edge (a, b), in key order: its elements e1 < e2 and
-        # their vertices c, dd opposite it
-        slots, inner = _slots_by_count(elem_edges.ravel(), counts, 2)
-        (e1, e2), (c, dd) = slots.T // 3, elems.ravel()[slots].T
-        a, b = edges[inner].T
-        t1, t2 = np.column_stack([c, dd, a]), np.column_stack([c, dd, b])
-        va, vb = signed_volumes(coords, t1), signed_volumes(coords, t2)
-        new_edge = _facet_keys(np.sort(np.column_stack([c, dd]), axis=1), n)
-        ok = (c != dd) & ~np.isin(new_edge, _facet_keys(edges, n))
-        ok &= va * vb < 0.0                  # quad strictly convex
-        t1, t2 = _oriented(t1, va)[ok], _oriented(t2, vb)[ok]
-        e1, e2 = e1[ok], e2[ok]
-        q = quality(coords, tensors, np.vstack([t1, t2]), opts.qual_p).reshape(2, -1)
-        q_old = np.minimum(elem_q[e1], elem_q[e2])
-        better = np.nonzero(q.min(axis=0) > q_old * (1.0 + 1e-10))[0]
-        pairs = np.column_stack([e1, e2])[better]
-        flip = better[_take_disjoint(pairs, bytearray(len(elems)))]
-        elems[e1[flip]], elems[e2[flip]] = t1[flip], t2[flip]
-        elem_q[e1[flip]], elem_q[e2[flip]] = q[0, flip], q[1, flip]
-        n_flips += len(flip)
-        if len(flip) == 0:
-            break
-    new_mesh = SimplicialMesh(2, mesh.nodes.copy(), elems,
-                              mesh.boundary_facets.copy(),
-                              mesh.facet_segments.copy(),
-                              list(mesh.boundary_node_flags), mesh.box.copy())
-    return new_mesh, np.array(u, dtype=float, copy=True), psi, n_flips
+def _swap_sweep_2d(coords, tensors, elems, elem_q, qual_p):
+    """One 2D sweep of `swap_pass` on `elems` and their qualities `elem_q`,
+    both updated in place: (elems, elem_q, number of flips)."""
+    n = len(coords)
+    edges, elem_edges, counts = facet_topology(elems, n)
+    # per interior edge (a, b), in key order: its elements e1 < e2 and
+    # their vertices c, dd opposite it
+    slots, inner = _slots_by_count(elem_edges.ravel(), counts, 2)
+    (e1, e2), (c, dd) = slots.T // 3, elems.ravel()[slots].T
+    a, b = edges[inner].T
+    t1, t2 = np.column_stack([c, dd, a]), np.column_stack([c, dd, b])
+    va, vb = signed_volumes(coords, t1), signed_volumes(coords, t2)
+    new_edge = _facet_keys(np.sort(np.column_stack([c, dd]), axis=1), n)
+    ok = (c != dd) & ~np.isin(new_edge, _facet_keys(edges, n))
+    ok &= va * vb < 0.0                  # quad strictly convex
+    t1, t2 = _oriented(t1, va)[ok], _oriented(t2, vb)[ok]
+    e1, e2 = e1[ok], e2[ok]
+    q = quality(coords, tensors, np.vstack([t1, t2]), qual_p).reshape(2, -1)
+    q_old = np.minimum(elem_q[e1], elem_q[e2])
+    better = np.nonzero(q.min(axis=0) > q_old * (1.0 + 1e-10))[0]
+    pairs = np.column_stack([e1, e2])[better]
+    flip = better[_take_disjoint(pairs, bytearray(len(elems)))]
+    elems[e1[flip]], elems[e2[flip]] = t1[flip], t2[flip]
+    elem_q[e1[flip]], elem_q[e2[flip]] = q[0, flip], q[1, flip]
+    return elems, elem_q, len(flip)
 
 
-def _swap_3d(mesh, u, psi, opts):
-    coords, tensors = mesh.nodes, psi.tensors
-    n = mesh.num_nodes
-    elems = mesh.elements.copy()
-    elem_q = quality(coords, tensors, elems, opts.qual_p)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    n_swaps = 0
-    for _ in range(_SWAP_SWEEPS):
-        faces, elem_faces, face_counts = facet_topology(elems, n)
-        ends = np.sort(elems[:, pairs].reshape(-1, 2), axis=1)
-        edge_keys, elem_edges, edge_counts = np.unique(
-            _facet_keys(ends, n), return_inverse=True, return_counts=True)
-        # 2-3: per interior face (f0, f1, f2), in key order, its tets e1 < e2
-        # and their apexes p, q; p-q must be a new edge that pierces the face
-        slots, inner = _slots_by_count(elem_faces.ravel(), face_counts, 2)
-        old23 = slots // 4
-        p, q = elems.ravel()[slots].T
-        f0, f1, f2 = faces[inner].T
-        tets23 = np.stack([np.column_stack([p, f0, f1, q]),
-                           np.column_stack([p, f1, f2, q]),
-                           np.column_stack([p, f2, f0, q])], axis=1)
-        vols = signed_volumes(coords, tets23.reshape(-1, 4)).reshape(-1, 3)
-        new_edge = _facet_keys(np.sort(np.column_stack([p, q]), axis=1), n)
-        ok = ((p != q) & ~np.isin(new_edge, edge_keys)
-              & (np.all(vols > 0.0, axis=1) | np.all(vols < 0.0, axis=1)))
-        old23, tets23 = old23[ok], _oriented(tets23[ok], vols[ok])
-        # 3-2: per edge (e0, e1) in exactly three tets, in key order, whose
-        # other vertices close a ring a < b < c; the new face abc must not
-        # exist yet and must separate e0 from e1
-        slots, _ = _slots_by_count(elem_edges, edge_counts, 3)
-        old32 = slots // 6
-        e0, e1 = ends[slots[:, 0]].T
-        others = np.sort(elems[old32].reshape(-1, 12), axis=1)
-        others = others[(others != e0[:, None]) & (others != e1[:, None])].reshape(-1, 6)
-        a, b, c = others[:, 0::2].T
-        v0 = signed_volumes(coords, np.column_stack([a, b, c, e0]))
-        v1 = signed_volumes(coords, np.column_stack([a, b, c, e1]))
-        ok = (np.all(others[:, 0::2] == others[:, 1::2], axis=1) & (a < b) & (b < c)
-              & ~np.isin(_facet_keys(others[:, 0::2], n), _facet_keys(faces, n))
-              & (v0 * v1 < 0.0))
-        tets32 = np.stack([_oriented(np.column_stack([a, b, c, e0]), v0),
-                           _oriented(np.column_stack([a, b, c, e1]), v1)], axis=1)
-        old32, tets32 = old32[ok], tets32[ok]
-        scores = quality(coords, tensors, np.vstack([tets23.reshape(-1, 4),
-                                                     tets32.reshape(-1, 4)]), opts.qual_p)
-        q23 = scores[:3 * len(old23)].reshape(-1, 3)
-        q32 = scores[3 * len(old23):].reshape(-1, 2)
-        used = bytearray(len(elems))
-        take = []
-        for old, q_new in ((old23, q23), (old32, q32)):
-            better = np.nonzero(q_new.min(axis=1)
-                                > elem_q[old].min(axis=1) * (1.0 + 1e-10))[0]
-            take.append(better[_take_disjoint(old[better], used)])
-        dead = np.frombuffer(used, dtype=bool)
-        elems = np.vstack([elems[~dead], tets23[take[0]].reshape(-1, 4),
-                           tets32[take[1]].reshape(-1, 4)])
-        elem_q = np.concatenate([elem_q[~dead], q23[take[0]].ravel(),
-                                 q32[take[1]].ravel()])
-        swaps = len(take[0]) + len(take[1])
-        n_swaps += swaps
-        if swaps == 0:
-            break
-    new_mesh = SimplicialMesh(3, mesh.nodes.copy(), elems,
-                              mesh.boundary_facets.copy(),
-                              mesh.facet_segments.copy(),
-                              list(mesh.boundary_node_flags), mesh.box.copy())
-    return new_mesh, np.array(u, dtype=float, copy=True), psi, n_swaps
+def _swap_sweep_3d(coords, tensors, elems, elem_q, qual_p):
+    """One 3D sweep of `swap_pass`: (elems, elem_q, number of swaps), the
+    unswapped elements first."""
+    n = len(coords)
+    faces, elem_faces, face_counts = facet_topology(elems, n)
+    edges, elem_edges, edge_counts = sub_simplices(elems, n, _pairs(4))
+    # 2-3: per interior face (f0, f1, f2), in key order, its tets e1 < e2
+    # and their apexes p, q; p-q must be a new edge that pierces the face
+    slots, inner = _slots_by_count(elem_faces.ravel(), face_counts, 2)
+    old23 = slots // 4
+    p, q = elems.ravel()[slots].T
+    f0, f1, f2 = faces[inner].T
+    tets23 = np.stack([np.column_stack([p, f0, f1, q]),
+                       np.column_stack([p, f1, f2, q]),
+                       np.column_stack([p, f2, f0, q])], axis=1)
+    vols = signed_volumes(coords, tets23.reshape(-1, 4)).reshape(-1, 3)
+    new_edge = _facet_keys(np.sort(np.column_stack([p, q]), axis=1), n)
+    ok = ((p != q) & ~np.isin(new_edge, _facet_keys(edges, n))
+          & (np.all(vols > 0.0, axis=1) | np.all(vols < 0.0, axis=1)))
+    old23, tets23 = old23[ok], _oriented(tets23[ok], vols[ok])
+    # 3-2: per edge (e0, e1) in exactly three tets, in key order, whose
+    # other vertices close a ring a < b < c; the new face abc must not
+    # exist yet and must separate e0 from e1
+    slots, ring = _slots_by_count(elem_edges.ravel(), edge_counts, 3)
+    old32 = slots // 6
+    e0, e1 = edges[ring].T
+    others = np.sort(elems[old32].reshape(-1, 12), axis=1)
+    others = others[(others != e0[:, None]) & (others != e1[:, None])].reshape(-1, 6)
+    a, b, c = others[:, 0::2].T
+    v0 = signed_volumes(coords, np.column_stack([a, b, c, e0]))
+    v1 = signed_volumes(coords, np.column_stack([a, b, c, e1]))
+    ok = (np.all(others[:, 0::2] == others[:, 1::2], axis=1) & (a < b) & (b < c)
+          & ~np.isin(_facet_keys(others[:, 0::2], n), _facet_keys(faces, n))
+          & (v0 * v1 < 0.0))
+    tets32 = np.stack([_oriented(np.column_stack([a, b, c, e0]), v0),
+                       _oriented(np.column_stack([a, b, c, e1]), v1)], axis=1)
+    old32, tets32 = old32[ok], tets32[ok]
+    scores = quality(coords, tensors, np.vstack([tets23.reshape(-1, 4),
+                                                 tets32.reshape(-1, 4)]), qual_p)
+    q23 = scores[:3 * len(old23)].reshape(-1, 3)
+    q32 = scores[3 * len(old23):].reshape(-1, 2)
+    used = bytearray(len(elems))
+    take = []
+    for old, q_new in ((old23, q23), (old32, q32)):
+        better = np.nonzero(q_new.min(axis=1)
+                            > elem_q[old].min(axis=1) * (1.0 + 1e-10))[0]
+        take.append(better[_take_disjoint(old[better], used)])
+    dead = np.frombuffer(used, dtype=bool)
+    elems = np.vstack([elems[~dead], tets23[take[0]].reshape(-1, 4),
+                       tets32[take[1]].reshape(-1, 4)])
+    elem_q = np.concatenate([elem_q[~dead], q23[take[0]].ravel(),
+                             q32[take[1]].ravel()])
+    return elems, elem_q, len(take[0]) + len(take[1])
 
 
 def _validate_after(mesh, pass_name):
@@ -792,25 +755,16 @@ def tradapt(mesh, u, opts):
     psi = metric_for_field(mesh, u, opts.eta_policy, opts.ppar, opts.field_selector)
     for _ in range(opts.innerit):
         it_stats = {}
-        if mask.swap:
-            mesh, u, psi, n = swap_pass(mesh, u, psi, opts)
-            it_stats["swaps"] = n
-            _validate_after(mesh, "swap")
-        if mask.coarsen:
-            mesh, u, psi, n = coarsen_pass(mesh, u, psi, opts)
-            it_stats["collapses"] = n
-            _validate_after(mesh, "coarsen")
-        if mask.refine:
-            mesh, u, psi, n = refine_pass(mesh, u, psi, opts)
-            it_stats["splits"] = n
-            _validate_after(mesh, "refine")
-        if mask.move:
-            mesh, u, psi, n = move_pass(mesh, u, psi, opts)
-            it_stats["moves"] = n
-            _validate_after(mesh, "move")
+        for name, count in (("swap", "swaps"), ("coarsen", "collapses"),
+                            ("refine", "splits"), ("move", "moves")):
+            if getattr(mask, name):
+                # looked up per call, so a wrapper set on the module sees it
+                run = globals()[f"{name}_pass"]
+                mesh, u, psi, it_stats[count] = run(mesh, u, psi, opts)
+                _validate_after(mesh, name)
         psi = metric_for_field(mesh, u, opts.eta_policy, opts.ppar,
                                opts.field_selector)
-        lmax = max_metric_edge_length(mesh, psi)
+        lmax = float(edge_lengths(mesh.nodes, psi.tensors, mesh.edges()).max(initial=0.0))
         it_stats["np"] = mesh.num_nodes
         it_stats["lmax"] = lmax
         stats.iterations.append(it_stats)

@@ -9,7 +9,7 @@ import ast
 import configparser
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .adapt import AdaptOptions, CoarsenOptions
 from .continuation import ContinuationSettings
@@ -115,28 +115,29 @@ def _parse_bc(text):
 
 
 def _parse_eta(section):
-    has_const = "eta" in section
-    has_np = "eta_np" in section
-    if has_const and has_np:
+    if "eta" in section and "eta_np" in section:
         raise ConfigError(f"[{section.name}] eta and eta_np are mutually exclusive")
-    if has_np:
+    if "eta_np" in section:
         return EtaPolicy.linear_in_np(_get(section, "eta_np", parse_number))
-    return EtaPolicy.constant(_get(section, "eta", parse_number, default=1e-3))
+    return EtaPolicy.constant(_get(section, "eta", parse_number))
 
 
-def _parse_trop(section, dim):
-    kwargs = dict(
-        eta_policy=_parse_eta(section),
-        ppar=_get(section, "ppar", int, default=1000),
-        innerit=_get(section, "innerit", int, default=2),
-        l_low=_get(section, "l_low", parse_number, default=1.0 / math.sqrt(2.0)),
-        l_up=_get(section, "l_up", parse_number, default=math.sqrt(2.0)),
-        qual_p=_get(section, "qual_p", parse_number,
-                    default=0.0 if dim == 2 else 2.0),
-        sw=_get(section, "sw", int, default=15),
-    )
+# the adaptation keys a [trop] or [trcop] section may set, besides eta/eta_np
+_ADAPT_KEYS = {"ppar": int, "innerit": int, "l_low": parse_number,
+               "l_up": parse_number, "qual_p": parse_number, "sw": int,
+               "npb": int, "crmax": int}
+
+
+def _parse_adapt(section, base):
+    """The option block `base` with the keys `section` sets applied; the
+    coarsening keys npb and crmax only where `base` has them."""
+    names = {f.name for f in fields(base)}
+    changes = {key: _get(section, key, conv) for key, conv in _ADAPT_KEYS.items()
+               if key in section and key in names}
+    if "eta" in section or "eta_np" in section:
+        changes["eta_policy"] = _parse_eta(section)
     try:
-        return AdaptOptions(**kwargs)
+        return replace(base, **changes)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}]: {exc}") from None
 
@@ -185,37 +186,13 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"[problem]: {exc}") from None
 
-    trop_sec = parser["trop"] if "trop" in parser else parser["DEFAULT"]
-    trop = _parse_trop(trop_sec, dim) if "trop" in parser \
-        else AdaptOptions.for_dim(dim)
+    # [trcop] starts from [trop] with the coarsening defaults sw, npb, crmax
+    trop = AdaptOptions.for_dim(dim)
+    if "trop" in parser:
+        trop = _parse_adapt(parser["trop"], trop)
+    trcop = CoarsenOptions.from_trop(trop)
     if "trcop" in parser:
-        sec = parser["trcop"]
-        merged = {k: sec[k] for k in sec}
-        # trcop inherits trop values unless overridden
-        base = dict(trop_sec) if "trop" in parser else {}
-        if "eta" in merged:
-            base.pop("eta_np", None)
-        if "eta_np" in merged:
-            base.pop("eta", None)
-        base.update(merged)
-        proxy = configparser.ConfigParser()
-        proxy["trcop"] = base
-        tr_sec = proxy["trcop"]
-        try:
-            trcop = CoarsenOptions(
-                eta_policy=_parse_eta(tr_sec),
-                ppar=_get(tr_sec, "ppar", int, default=trop.ppar),
-                innerit=_get(tr_sec, "innerit", int, default=trop.innerit),
-                l_low=_get(tr_sec, "l_low", parse_number, default=trop.l_low),
-                l_up=_get(tr_sec, "l_up", parse_number, default=trop.l_up),
-                qual_p=_get(tr_sec, "qual_p", parse_number, default=trop.qual_p),
-                sw=_get(tr_sec, "sw", int, default=5),
-                npb=_get(tr_sec, "npb", int, default=0),
-                crmax=_get(tr_sec, "crmax", int, default=10))
-        except ValueError as exc:
-            raise ConfigError(f"[trcop]: {exc}") from None
-    else:
-        trcop = CoarsenOptions.from_trop(trop)
+        trcop = _parse_adapt(parser["trcop"], trcop)
 
     try:
         cont = ContinuationSettings(

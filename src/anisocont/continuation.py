@@ -131,25 +131,17 @@ class FemWorkspace:
         self.domain_vol = float(np.prod(mesh.box[:, 1] - mesh.box[:, 0]))
         self.pattern = fem.JacobianPattern(self.K1, self.M, self.dir_idx)
         self.free = self.pattern.free
-        self._K_cache = (None, None)
         self._J_cache = (None, None, None)
         self.solver = BorderedSolver(norm=self.pattern.inf_norm)
 
-    def K(self, c):
-        if self._K_cache[0] != c:
-            # 1.0 * K1 is K1 bitwise, so c = 1 needs no copy
-            self._K_cache = (c, self.K1 if c == 1.0 else (c * self.K1).tocsr())
-        return self._K_cache[1]
-
     def release(self):
-        """Drops the LU, the remembered Jacobian and the scaled stiffness,
-        which later calls rebuild, so the workspace stays usable."""
+        """Drops the LU and the remembered Jacobian, which later calls
+        rebuild, so the workspace stays usable."""
         self.solver.release()
-        self._K_cache = (None, None)
         self._J_cache = (None, None, None)
 
     def residual(self, u, prob):
-        return fem.residual(self.mesh, u, prob, K=self.K(prob.c), M=self.M,
+        return fem.residual(self.mesh, u, prob, K1=self.K1, M=self.M,
                             dir_idx=self.dir_idx, dir_groups=self.dir_groups)
 
     def jacobian(self, u, prob):

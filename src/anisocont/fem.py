@@ -234,16 +234,17 @@ def nonlinearity_prime(u, prob):
     return prob.lam + 3.0 * u ** 2 - 5.0 * prob.gamma * u ** 4
 
 
-def residual(mesh, u, prob, K=None, M=None, dir_idx=None, dir_groups=None):
-    """Nodal residual with Dirichlet rows replaced by u_i - g_i."""
+def residual(mesh, u, prob, K1=None, M=None, dir_idx=None, dir_groups=None):
+    """Nodal residual with Dirichlet rows replaced by u_i - g_i; `K1` is the
+    unit-coefficient stiffness, scaled by `prob.c` after the product."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_nodes,):
         raise ValueError(f"u has length {u.shape}, mesh has {mesh.num_nodes} nodes")
-    if K is None:
-        K = assemble_stiffness(mesh, prob.c)
+    if K1 is None:
+        K1 = assemble_stiffness(mesh, 1.0)
     if M is None:
         M = assemble_mass(mesh)
-    G = K @ u - M @ nonlinearity(u, prob)
+    G = prob.c * (K1 @ u) - M @ nonlinearity(u, prob)
     if dir_idx is None:
         dir_idx, dir_groups = dirichlet_info(mesh, prob)
     if dir_idx.size:

@@ -171,15 +171,6 @@ def quality(coords, tensors, elems, qual_p=0.0):
     return np.where((vol > 0.0) & (det > 0.0), q, 0.0)
 
 
-def unique_edges(elements):
-    """Unique undirected edges (m, 2) with sorted node ids, lexicographic order."""
-    nv = elements.shape[1]
-    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    raw = np.concatenate([elements[:, p] for p in pairs], axis=0)
-    raw.sort(axis=1)
-    return _unique_rows(raw, int(raw.max()) + 1 if raw.size else 1)[0]
-
-
 def _sym_linspace(extent, n):
     """Node coordinates on [-extent, extent], exactly antisymmetric about 0."""
     if n % 2:
@@ -205,16 +196,43 @@ def _facet_keys(rows, n_nodes):
     return key
 
 
-def _unique_rows(rows, n_nodes):
-    """`np.unique(rows, axis=0, return_inverse=True)` for rows of sorted
-    node ids below `n_nodes`, from one int64 key per row."""
-    _, first, inverse = np.unique(_facet_keys(rows, n_nodes), return_index=True,
-                                  return_inverse=True)
-    return rows[first], inverse
+def _pairs(nv):
+    """The local vertex pairs (i, j), i < j, of a simplex with `nv` vertices."""
+    return [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+
+
+def _opposite(nv):
+    """Per local vertex i of a simplex with `nv` vertices, the others: the
+    local vertices of the facet opposite i."""
+    return [[j for j in range(nv) if j != i] for i in range(nv)]
+
+
+def sub_simplices(elements, n_nodes, local):
+    """Sub-simplices of a simplicial element array, from one integer-keyed
+    `np.unique`: the rows `elements[:, local[i]]`, each sorted.
+
+    Returns `(rows, ids, counts)`: the unique rows as sorted node ids in
+    lexicographic order, in the dtype of `elements`, shape (m, k); the id of
+    row `local[i]` of element e in `ids[e, i]`, shape (ne, len(local)); and
+    the number of (element, i) slots holding each row.
+    """
+    ne = len(elements)
+    cols = [elements[:, [sub[j] for sub in local]].ravel() for j in range(len(local[0]))]
+    # each row sorted by an odd-even transposition network on whole columns:
+    # on rows this short, np.sort's per-row calls cost more
+    for p in range(len(cols)):
+        for j in range(p % 2, len(cols) - 1, 2):
+            cols[j], cols[j + 1] = (np.minimum(cols[j], cols[j + 1]),
+                                    np.maximum(cols[j], cols[j + 1]))
+    raw = np.column_stack(cols)
+    _, first, inverse, counts = np.unique(_facet_keys(raw, n_nodes),
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return raw[first], inverse.reshape(ne, len(local)), counts
 
 
 def facet_topology(elements, n_nodes):
-    """Facets of a simplicial element array, from one integer-keyed `np.unique`.
+    """Facets of a simplicial element array (`sub_simplices`, int64).
 
     Returns `(facets, elem_facets, counts)`: the unique facets as sorted
     node-id rows in lexicographic order, shape (nf, d); the id of the facet
@@ -223,13 +241,14 @@ def facet_topology(elements, n_nodes):
     boundary, 2 inside a conforming mesh).
     """
     elements = np.asarray(elements, dtype=np.int64)
-    ne, nv = elements.shape
-    opposite = [[j for j in range(nv) if j != i] for i in range(nv)]
-    raw = np.sort(elements[:, opposite].reshape(ne * nv, nv - 1), axis=1)
-    _, first, inverse, counts = np.unique(_facet_keys(raw, n_nodes),
-                                          return_index=True, return_inverse=True,
-                                          return_counts=True)
-    return raw[first], inverse.reshape(ne, nv), counts
+    return sub_simplices(elements, n_nodes, _opposite(elements.shape[1]))
+
+
+def unique_edges(elements):
+    """Unique undirected edges (m, 2) with sorted node ids, lexicographic order,
+    in the dtype of `elements`."""
+    n_nodes = int(elements.max()) + 1 if elements.size else 1
+    return sub_simplices(elements, n_nodes, _pairs(elements.shape[1]))[0]
 
 
 def _slots_by_count(ids, counts, k):
@@ -276,6 +295,25 @@ def _derive_boundary(dim, nodes, elements, box):
     return facets, segs, _node_flags(len(nodes), facets, segs)[0]
 
 
+def _grid(extents, counts):
+    """Nodes of the structured grid on the box (-l, l) per axis, with the
+    first axis running fastest, and the box (dim, 2)."""
+    for n in counts:
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"node counts must be integers >= 2, got {counts}")
+    if min(extents) <= 0:
+        raise ValueError("box half-extents must be positive")
+    axes = [_sym_linspace(float(ext), n) for ext, n in zip(extents, counts)]
+    coords = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
+    nodes = np.column_stack([c.ravel() for c in coords])
+    return nodes, np.array([[-ext, ext] for ext in extents], dtype=float)
+
+
+# The two triangles of a grid quad with corners (n00, n10, n01, n11), for
+# even and odd i + j: the diagonals alternate.
+_RECT_SPLITS = np.array([[[0, 1, 3], [0, 3, 2]], [[0, 1, 2], [1, 3, 2]]])
+
+
 def build_rect_mesh(lx, ly, nx, ny):
     """Structured triangulation of (-lx,lx) x (-ly,ly) with nx*ny nodes.
 
@@ -283,33 +321,14 @@ def build_rect_mesh(lx, ly, nx, ny):
     that meshes with odd nx/ny are mirror symmetric. Boundary facets carry
     segment ids 1..4 in order bottom, right, top, left.
     """
-    if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
-        raise ValueError("node counts must be integers")
-    if nx < 2 or ny < 2:
-        raise ValueError(f"node counts must be >= 2, got nx={nx}, ny={ny}")
-    if lx <= 0 or ly <= 0:
-        raise ValueError("box half-extents must be positive")
-    xs = _sym_linspace(float(lx), nx)
-    ys = _sym_linspace(float(ly), ny)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i + nx * j
-
-    elems = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                elems.append((n00, n10, n11))
-                elems.append((n00, n11, n01))
-            else:
-                elems.append((n00, n10, n01))
-                elems.append((n10, n11, n01))
-    elements = np.array(elems, dtype=np.int64)
-    box = np.array([[-lx, lx], [-ly, ly]], dtype=float)
+    nodes, box = _grid((lx, ly), (nx, ny))
+    # per grid quad, j outer and i inner, its corners n00, n10, n01, n11 and
+    # its two triangles, by the parity of i + j
+    j, i = np.divmod(np.arange((nx - 1) * (ny - 1)), nx - 1)
+    n00 = i + nx * j
+    quad = np.column_stack([n00, n00 + 1, n00 + nx, n00 + nx + 1])
+    tris = _RECT_SPLITS[(i + j) % 2].reshape(len(quad), 6)
+    elements = np.take_along_axis(quad, tris, axis=1).reshape(-1, 3)
     facets, segs, flags = _derive_boundary(2, nodes, elements, box)
     return SimplicialMesh(2, nodes, elements, facets, segs, flags, box)
 
@@ -326,41 +345,18 @@ def build_box_mesh(lx, ly, lz, nx, ny, nz):
     Each grid cube is split into 6 tetrahedra (Kuhn split); segment ids 1..6
     are assigned in order bottom, left, front, right, back, top.
     """
-    for n in (nx, ny, nz):
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"node counts must be integers >= 2, got {(nx, ny, nz)}")
-    if lx <= 0 or ly <= 0 or lz <= 0:
-        raise ValueError("box half-extents must be positive")
-    xs = _sym_linspace(float(lx), nx)
-    ys = _sym_linspace(float(ly), ny)
-    zs = _sym_linspace(float(lz), nz)
-    nodes = np.empty((nx * ny * nz, 3))
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                nodes[i + nx * (j + ny * k)] = (xs[i], ys[j], zs[k])
-
-    def nid(i, j, k):
-        return i + nx * (j + ny * k)
-
-    elems = []
-    for k in range(nz - 1):
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                corner = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [corner.copy()]
-                    b = corner.copy()
-                    for axis in perm:
-                        b = b.copy()
-                        b[axis] += 1
-                        path.append(b)
-                    elems.append(tuple(nid(*p) for p in path))
-    elements = np.array(elems, dtype=np.int64)
+    nodes, box = _grid((lx, ly, lz), (nx, ny, nz))
+    # node id offsets along each tet's path, per permutation; cubes k outer,
+    # then j, i inner, the six tets of each in `_KUHN_PERMS` order
+    steps = np.array([1, nx, nx * ny])[list(_KUHN_PERMS)]
+    path = np.column_stack([np.zeros(6, dtype=np.int64), np.cumsum(steps, axis=1)])
+    k, j, i = np.unravel_index(np.arange((nx - 1) * (ny - 1) * (nz - 1)),
+                               (nz - 1, ny - 1, nx - 1))
+    corner = i + nx * (j + ny * k)
+    elements = (corner[:, None, None] + path).reshape(-1, 4)
     vols = signed_volumes(nodes, elements)
     flip = vols < 0
     elements[flip] = elements[flip][:, [0, 2, 1, 3]]
-    box = np.array([[-lx, lx], [-ly, ly], [-lz, lz]], dtype=float)
     facets, segs, flags = _derive_boundary(3, nodes, elements, box)
     return SimplicialMesh(3, nodes, elements, facets, segs, flags, box)
 
@@ -442,24 +438,14 @@ class _Locator:
         neighbors[s2] = s1 // (d + 1)
         self.neighbors = neighbors.reshape(elem_facets.shape)
         # barycentric tolerance equivalent to 1e-9 * diameter in distance,
-        # per element through its minimum height
-        vols = np.abs(signed_volumes(nodes, elements))
-        max_edge = np.zeros(len(elements))
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                diff = nodes[elements[:, i]] - nodes[elements[:, j]]
-                max_edge = np.maximum(max_edge, np.einsum("ij,ij->i", diff, diff))
-        max_edge = np.sqrt(max_edge)
-        if d == 2:
-            h_min = 2.0 * vols / np.maximum(max_edge, 1e-300)
-        else:
-            areas = np.zeros(len(elements))
-            for i in range(4):
-                tri = np.delete(np.arange(4), i)
-                a = nodes[elements[:, tri[1]]] - nodes[elements[:, tri[0]]]
-                b = nodes[elements[:, tri[2]]] - nodes[elements[:, tri[0]]]
-                areas = np.maximum(areas, 0.5 * np.linalg.norm(np.cross(a, b), axis=1))
-            h_min = 3.0 * vols / np.maximum(areas, 1e-300)
+        # per element through its minimum height, d * volume / largest facet
+        largest = np.zeros(len(elements))
+        for facet in _opposite(d + 1):
+            e = _edge_vectors(nodes, elements[:, facet])
+            size = (np.sqrt(np.einsum("ij,ij->i", e[0], e[0])) if d == 2
+                    else 0.5 * np.linalg.norm(np.cross(*e), axis=1))
+            largest = np.maximum(largest, size)
+        h_min = d * np.abs(signed_volumes(nodes, elements)) / np.maximum(largest, 1e-300)
         self.lam_tol = 1e-9 * mesh.diameter() / np.maximum(h_min, 1e-300)
 
     def bary_many(self, elems, pts):

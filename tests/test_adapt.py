@@ -759,6 +759,21 @@ class TestTradapt:
         _, _, stats = ac.tradapt(m, u, opts2d(innerit=3))
         assert len(stats.iterations) <= 3
 
+    def test_calls_each_layer_through_its_module_attribute(self, monkeypatch):
+        """The benchmark tracer wraps these attributes of `adapt`; a pass
+        `tradapt` held elsewhere would drop out of traced runs silently."""
+        names = ("swap_pass", "coarsen_pass", "refine_pass", "move_pass",
+                 "metric_for_field", "validate")
+        calls = {name: count_calls(monkeypatch, adapt, name) for name in names}
+        m = ac.build_rect_mesh(2, 2, 11, 11)
+        u = np.tanh(5 * m.nodes[:, 0])
+        _, _, stats = ac.tradapt(m, u, opts2d(innerit=2))
+        n_iter = len(stats.iterations)
+        for name in names[:4]:
+            assert len(calls[name]) == n_iter, name
+        assert len(calls["validate"]) == 4 * n_iter
+        assert len(calls["metric_for_field"]) == n_iter + 1
+
 
 class TestTwoStep:
     def test_guard_npb_zero_equals_plain(self):

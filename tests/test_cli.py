@@ -140,6 +140,59 @@ class TestLoadConfig:
             load_config(path)
 
 
+def adapt_config(tmp_path, sections):
+    """`tiny_config` with the given adaptation sections appended."""
+    path = tiny_config(tmp_path)
+    path.write_text(path.read_text() + sections)
+    return path
+
+
+class TestAdaptSections:
+    TROP = "[trop]\neta_np = 2e-6\nsw = 15\nl_low = 0.6\nqual_p = 1\n"
+
+    @pytest.mark.parametrize("name,trop,trcop", [
+        ("ac2d_cos.cfg", dict(sw=15), dict(npb=0)),
+        ("ac2d_wspot.cfg", dict(eta_policy=ac.EtaPolicy.linear_in_np(1e-6), sw=15),
+         dict(npb=400, crmax=10)),
+        ("ac3d_wspot.cfg", dict(eta_policy=ac.EtaPolicy.linear_in_np(1e-5), sw=15,
+                                qual_p=2.0), dict(npb=3000, crmax=10))])
+    def test_bundled_options(self, name, trop, trcop):
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        assert cfg.trop == ac.AdaptOptions.for_dim(cfg.dim, **trop)
+        assert cfg.trcop == ac.CoarsenOptions.from_trop(cfg.trop, sw=5, **trcop)
+
+    def test_trcop_without_sw_only_coarsens(self, tmp_path):
+        cfg = load_config(adapt_config(tmp_path, self.TROP + "[trcop]\nnpb = 50\n"))
+        assert cfg.trop.sw == 15
+        assert (cfg.trcop.sw, cfg.trcop.npb, cfg.trcop.crmax) == (5, 50, 10)
+
+    def test_trcop_inherits_trop(self, tmp_path):
+        cfg = load_config(adapt_config(tmp_path, self.TROP + "[trcop]\nppar = 7\n"))
+        assert cfg.trcop.l_low == cfg.trop.l_low == 0.6
+        assert cfg.trcop.qual_p == cfg.trop.qual_p == 1.0
+        assert cfg.trcop.eta_policy == cfg.trop.eta_policy \
+            == ac.EtaPolicy.linear_in_np(2e-6)
+        assert (cfg.trop.ppar, cfg.trcop.ppar) == (1000, 7)
+
+    def test_no_sections_give_defaults(self, tmp_path):
+        cfg = load_config(tiny_config(tmp_path))
+        assert cfg.trop == ac.AdaptOptions.for_dim(2)
+        assert cfg.trcop == ac.CoarsenOptions.from_trop(cfg.trop)
+        assert cfg.trcop.sw == 5
+
+    def test_trcop_eta_overrides_eta_np(self, tmp_path):
+        cfg = load_config(adapt_config(tmp_path, self.TROP + "[trcop]\neta = 0.01\n"))
+        assert cfg.trop.eta_policy == ac.EtaPolicy.linear_in_np(2e-6)
+        assert cfg.trcop.eta_policy == ac.EtaPolicy.constant(0.01)
+
+    @pytest.mark.parametrize("bad", ["l_low = 2", "sw = 16", "npb = -1", "sw = x",
+                                     "eta = 1\neta_np = 1"])
+    def test_bad_trcop_value_names_section(self, tmp_path, bad):
+        path = adapt_config(tmp_path, self.TROP + f"[trcop]\n{bad}\n")
+        with pytest.raises(ConfigError, match=r"\[trcop\]"):
+            load_config(path)
+
+
 class TestRunCommand:
     def test_tiny_run_produces_outputs(self, tmp_path):
         path = tiny_config(tmp_path)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisocont as ac
-from anisocont.mesh import (_derive_boundary, _Locator, _node_flags, _p1_weights,
-                            _unique_rows, facet_topology, quality,
-                            segment_table, signed_volumes, unique_edges)
+from anisocont.mesh import (_KUHN_PERMS, _derive_boundary, _Locator, _node_flags,
+                            _opposite, _p1_weights, _pairs, _sym_linspace,
+                            facet_topology, quality, segment_table,
+                            signed_volumes, sub_simplices, unique_edges)
 
 
 class TestRectMesh:
@@ -76,6 +77,88 @@ class TestBoxMesh:
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             ac.build_box_mesh(1, 1, 1, 2, 1, 2)
+
+
+# The loop-built generators the array-built ones replaced: the reference
+# they are checked against.
+
+def _oracle_rect_mesh(lx, ly, nx, ny):
+    xs = _sym_linspace(float(lx), nx)
+    ys = _sym_linspace(float(ly), ny)
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+    def nid(i, j):
+        return i + nx * j
+
+    elems = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            n00, n10 = nid(i, j), nid(i + 1, j)
+            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
+            if (i + j) % 2 == 0:
+                elems.append((n00, n10, n11))
+                elems.append((n00, n11, n01))
+            else:
+                elems.append((n00, n10, n01))
+                elems.append((n10, n11, n01))
+    return nodes, np.array(elems, dtype=np.int64), np.array([[-lx, lx], [-ly, ly]],
+                                                            dtype=float)
+
+
+def _oracle_box_mesh(lx, ly, lz, nx, ny, nz):
+    xs = _sym_linspace(float(lx), nx)
+    ys = _sym_linspace(float(ly), ny)
+    zs = _sym_linspace(float(lz), nz)
+    nodes = np.empty((nx * ny * nz, 3))
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                nodes[i + nx * (j + ny * k)] = (xs[i], ys[j], zs[k])
+
+    def nid(i, j, k):
+        return i + nx * (j + ny * k)
+
+    elems = []
+    for k in range(nz - 1):
+        for j in range(ny - 1):
+            for i in range(nx - 1):
+                corner = np.array([i, j, k])
+                for perm in _KUHN_PERMS:
+                    path = [corner.copy()]
+                    b = corner.copy()
+                    for axis in perm:
+                        b = b.copy()
+                        b[axis] += 1
+                        path.append(b)
+                    elems.append(tuple(nid(*p) for p in path))
+    elements = np.array(elems, dtype=np.int64)
+    flip = signed_volumes(nodes, elements) < 0
+    elements[flip] = elements[flip][:, [0, 2, 1, 3]]
+    return nodes, elements, np.array([[-lx, lx], [-ly, ly], [-lz, lz]], dtype=float)
+
+
+def _assert_same_mesh(m, nodes, elements, box):
+    facets, segs, flags = _derive_boundary(m.dim, nodes, elements, box)
+    for got, want in ((m.nodes, nodes), (m.elements, elements),
+                      (m.boundary_facets, facets), (m.facet_segments, segs),
+                      (m.box, box)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert m.boundary_node_flags == flags
+
+
+class TestBuildersAgainstLoops:
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (7, 4), (8, 6), (9, 5)])
+    def test_rect(self, nx, ny):
+        _assert_same_mesh(ac.build_rect_mesh(2.0, 1.5, nx, ny),
+                          *_oracle_rect_mesh(2.0, 1.5, nx, ny))
+
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (2, 3, 2), (3, 4, 5), (4, 4, 4),
+                                        (5, 3, 6)])
+    def test_box(self, counts):
+        _assert_same_mesh(ac.build_box_mesh(1.0, 1.5, 0.5, *counts),
+                          *_oracle_box_mesh(1.0, 1.5, 0.5, *counts))
 
 
 class TestValidate:
@@ -531,7 +614,26 @@ def _assert_identical(got, want):
     assert np.array_equal(got, want)
 
 
+def _oracle_sub_simplices(elements, local):
+    raw = np.sort(elements[:, local].reshape(-1, len(local[0])), axis=1)
+    rows, inverse, counts = np.unique(raw, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return rows, inverse.reshape(len(elements), len(local)), counts
+
+
 class TestIntegerKeyUniques:
+    @pytest.mark.parametrize("kind", ["facets", "edges"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_sub_simplices_match_axis0(self, kernel_mesh, kind, dtype):
+        elements = kernel_mesh.elements.astype(dtype)
+        nv = elements.shape[1]
+        local = _opposite(nv) if kind == "facets" else _pairs(nv)
+        got = sub_simplices(elements, kernel_mesh.num_nodes, local)
+        for g, w in zip(got, _oracle_sub_simplices(elements, local)):
+            _assert_identical(g, w)
+        assert got[0].dtype == dtype
+
+
     def test_unique_edges_match_axis0(self, kernel_mesh):
         elements = kernel_mesh.elements
         _assert_identical(unique_edges(elements), _oracle_unique_edges(elements))
@@ -542,10 +644,10 @@ class TestIntegerKeyUniques:
         m = kernel_mesh
         # every element's two lowest node ids, with repeats
         rows = np.sort(m.elements, axis=1)[:, :2]
-        got, inverse = _unique_rows(rows, m.num_nodes)
+        got, ids, _ = sub_simplices(rows, m.num_nodes, [(0, 1)])
         want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
         _assert_identical(got, want)
-        _assert_identical(inverse, want_inverse)
+        _assert_identical(ids.ravel(), want_inverse)
 
     def test_node_flags_match_axis0(self, kernel_mesh):
         m = kernel_mesh
@@ -562,11 +664,17 @@ class TestIntegerKeyUniques:
             elements = np.zeros((0, nv), dtype=np.int64)
             _assert_identical(unique_edges(elements),
                               _oracle_unique_edges(elements))
+            for local in (_opposite(nv), _pairs(nv)):
+                for dtype in (np.int64, np.int32):
+                    got = sub_simplices(elements.astype(dtype), 5, local)
+                    want = _oracle_sub_simplices(elements.astype(dtype), local)
+                    for g, w in zip(got, want):
+                        _assert_identical(g, w)
         rows = np.zeros((0, 2), dtype=np.int64)
-        got, inverse = _unique_rows(rows, 5)
+        got, ids, _ = sub_simplices(rows, 5, [(0, 1)])
         want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
         _assert_identical(got, want)
-        _assert_identical(inverse, want_inverse)
+        _assert_identical(ids.ravel(), want_inverse)
         facets, segs = np.zeros((0, 2), dtype=np.int64), np.zeros(0, np.int64)
         for n_nodes in (0, 4):
             got = _node_flags(n_nodes, facets, segs)
