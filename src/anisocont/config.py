@@ -94,6 +94,13 @@ def _get(section, key, conv, default=None, required=False):
         raise ConfigError(f"[{section.name}] {key}: {exc}") from None
 
 
+def _check_keys(section, known):
+    """Rejects a key `section` sets that nothing reads, such as a misspelling."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"[{section.name}] unknown key '{key}'")
+
+
 def _parse_bool(text):
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -132,6 +139,7 @@ def _parse_adapt(section, base):
     """The option block `base` with the keys `section` sets applied; the
     coarsening keys npb and crmax only where `base` has them."""
     names = {f.name for f in fields(base)}
+    _check_keys(section, {"eta", "eta_np"} | (names & _ADAPT_KEYS.keys()))
     changes = {key: _get(section, key, conv) for key, conv in _ADAPT_KEYS.items()
                if key in section and key in names}
     if "eta" in section or "eta_np" in section:
@@ -140,6 +148,13 @@ def _parse_adapt(section, base):
         return replace(base, **changes)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}]: {exc}") from None
+
+
+# the [cont] keys of ContinuationSettings; unset ones keep its defaults
+_CONT_KEYS = {"ds0": parse_number, "ds_min": parse_number, "ds_max": parse_number,
+              "newton_tol": parse_number, "newton_max_it": int, "amod": int,
+              "ngen": int, "nsteps": int, "bif_detection": _parse_bool,
+              "param_min": parse_number, "param_max": parse_number}
 
 
 def load_config(path):
@@ -163,19 +178,23 @@ def load_config(path):
         raise ConfigError("[mesh] dim must be 2 or 3")
     ext_keys = ("lx", "ly", "lz")[:dim]
     cnt_keys = ("nx", "ny", "nz")[:dim]
+    _check_keys(mesh_sec, {"dim", *ext_keys, *cnt_keys})
     extents = tuple(_get(mesh_sec, k, parse_number, required=True) for k in ext_keys)
     counts = tuple(_get(mesh_sec, k, int, required=True) for k in cnt_keys)
 
     prob_sec = parser["problem"]
+    bc_keys = [f"bc{seg}" for seg in segment_table(dim)]
+    _check_keys(prob_sec, {"c", "lambda", "gamma", "d", "xi", *bc_keys})
     aux = {}
     for key in ("d", "xi"):
         if key in prob_sec:
             aux[key] = _get(prob_sec, key, parse_number)
-    bc = {}
-    for seg in segment_table(dim):
-        bc[seg] = _get(prob_sec, f"bc{seg}", _parse_bc, required=True)
+    bc = {seg: _get(prob_sec, key, _parse_bc, required=True)
+          for seg, key in zip(segment_table(dim), bc_keys)}
 
     cont_sec = parser["cont"]
+    _check_keys(cont_sec, {"active_param", "direction", "initial_adapt",
+                           *_CONT_KEYS})
     active_param = _get(cont_sec, "active_param", str.strip, required=True)
     try:
         prob = ProblemDef(
@@ -195,22 +214,14 @@ def load_config(path):
         trcop = _parse_adapt(parser["trcop"], trcop)
 
     try:
-        cont = ContinuationSettings(
-            ds0=_get(cont_sec, "ds0", parse_number, default=0.02),
-            ds_min=_get(cont_sec, "ds_min", parse_number, default=1e-6),
-            ds_max=_get(cont_sec, "ds_max", parse_number, default=0.1),
-            newton_tol=_get(cont_sec, "newton_tol", parse_number, default=1e-8),
-            newton_max_it=_get(cont_sec, "newton_max_it", int, default=10),
-            amod=_get(cont_sec, "amod", int, default=0),
-            ngen=_get(cont_sec, "ngen", int, default=1),
-            nsteps=_get(cont_sec, "nsteps", int, default=100),
-            bif_detection=_get(cont_sec, "bif_detection", _parse_bool, default=True),
-            param_min=_get(cont_sec, "param_min", parse_number),
-            param_max=_get(cont_sec, "param_max", parse_number))
+        cont = ContinuationSettings(**{
+            key: _get(cont_sec, key, conv) for key, conv in _CONT_KEYS.items()
+            if key in cont_sec})
     except ValueError as exc:
         raise ConfigError(f"[cont]: {exc}") from None
 
     out_sec = parser["output"] if "output" in parser else {}
+    _check_keys(out_sec, {"dir", "snapshot_stride"})
     name = str(path).rsplit("/", 1)[-1]
     name = name[:-4] if name.endswith(".cfg") else name
 

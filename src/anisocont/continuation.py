@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 XI_WEIGHT = 0.5
 BACKWARD_TOL = 1e-12          # accepted normwise backward error of a solve
 MAX_SWEEPS = 8                # refinement sweeps on a kept LU before refactoring
+FORCING = 0.1                 # inexact Newton: linear residual <= FORCING min(g, 1) g
 NUDGE = 1e-10                 # last-resort diagonal shift of a singular tangent system
 INVERSE_TOL = 1e-10           # eigenvector change that ends inverse iteration
 INVERSE_MAX_IT = 50
@@ -206,14 +207,16 @@ class BorderedSolver:
     `factor(J)` factors J afresh; `update(J)` moves on to a later J near the
     one factored and keeps the LU (it factors J when no LU is held). Every
     solve refines against the current J until its normwise backward error
-    |b - A z| / (|A| |z| + |b|) is at most BACKWARD_TOL. On an LU of J
-    itself one refinement sweep is allowed. On a kept LU refinement goes on
-    while each sweep at least halves the error, for at most MAX_SWEEPS
-    sweeps, and from the second sweep on only while the contraction seen so
-    far predicts reaching the bound within them; otherwise J is factored
-    afresh (a refactor) and the solve starts over on that LU. So a solve on
-    a kept LU is as accurate as the bound asks, and Newton iterations on it
-    are exact Newton steps.
+    |b - A z| / (|A| |z| + |b|) is at most BACKWARD_TOL or, when the caller
+    passes an absolute target `atol`, until max|b - A z| is at most atol,
+    whichever comes first. On an LU of J itself one refinement sweep is
+    allowed. On a kept LU refinement goes on while each sweep at least
+    halves the error, for at most MAX_SWEEPS sweeps, and from the second
+    sweep on only while the contraction seen so far predicts reaching the
+    looser of the two targets within them; otherwise J is factored afresh (a
+    refactor) and the solve starts over on that LU. With the default
+    atol = 0 a solve on a kept LU is as accurate as the bound asks; Newton
+    and the corrector pass the inexact Newton target of `_forcing`.
 
     `solve_bordered(g, r, c, f, h)` solves [[J, g], [r', c]] [x; y] = [f; h]
     by block elimination with the LU: v = J^-1 g and w = J^-1 f (two
@@ -278,40 +281,45 @@ class BorderedSolver:
         self.refactors += 1
         self._factor()
 
-    def _refine(self, z, residual, correct, a_norm, b_norm):
+    def _refine(self, z, residual, correct, a_norm, b_norm, atol):
         """(z, accepted): z refined by `z += correct(residual(z))` sweeps,
-        accepted once its backward error is at most BACKWARD_TOL."""
+        accepted once max|residual| is at most atol or its backward error is
+        at most BACKWARD_TOL."""
         cap = 1 if self.fresh else MAX_SWEEPS
         last = np.inf
         for sweep in range(cap + 1):
             res = residual(z)
             err = np.max(np.abs(res))
-            eta = err / (a_norm * np.max(np.abs(z)) + b_norm) if err else 0.0
+            if err <= atol:
+                return z, True
+            eta = err / (a_norm * np.max(np.abs(z)) + b_norm)
             if eta <= BACKWARD_TOL:
                 return z, True
             if sweep == cap or not eta <= 0.5 * last:    # also NaN
                 return z, False
-            # sweeps still needed at the contraction eta / last seen so far
-            if sweep >= 2 and sweep + (math.log(BACKWARD_TOL / eta)
+            # sweeps still needed at the contraction eta / last seen so far,
+            # to the looser of the two targets as a backward error
+            goal = max(BACKWARD_TOL, eta * atol / err)
+            if sweep >= 2 and sweep + (math.log(goal / eta)
                                        / math.log(eta / last)) > MAX_SWEEPS:
                 return z, False
             last = eta
             self.refinements += 1
             z = z + correct(res)
 
-    def solve(self, f):
+    def solve(self, f, atol=0.0):
         f = np.asarray(f, dtype=float)
         b_norm = np.max(np.abs(f))
         while True:
             if self.lu is None:
                 raise RuntimeError(f"cannot solve with a singular matrix: {self.error}")
             x, ok = self._refine(self.lu.solve(f), lambda z: f - self.J @ z,
-                                 self.lu.solve, self._j_norm, b_norm)
+                                 self.lu.solve, self._j_norm, b_norm, atol)
             if ok or self.fresh:
                 return x
             self._refactor()
 
-    def solve_bordered(self, g, r, c, f, h, nudge=False):
+    def solve_bordered(self, g, r, c, f, h, nudge=False, atol=0.0):
         """Returns (x, y); raises RuntimeError when every fallback fails."""
         g, r, f = (np.asarray(a, dtype=float) for a in (g, r, f))
         n = len(f)
@@ -330,7 +338,7 @@ class BorderedSolver:
                 z, ok = self._refine(
                     _eliminate(v, s, vw[:, 1], r, h), residual,
                     lambda res: _eliminate(v, s, self.lu.solve(res[:n]), r, res[n]),
-                    a_norm, b_norm)
+                    a_norm, b_norm, atol)
                 if ok:
                     return z[:n], float(z[n])
             if self.fresh:
@@ -366,15 +374,24 @@ def _eliminate(v, s, w, r, h):
     return np.append(w - y * v, y)
 
 
+def _forcing(g):
+    """The residual a Newton iteration's linear solve must reach, given the
+    max-norm g of its right-hand side: the forcing term FORCING * min(g, 1)
+    keeps inexact Newton quadratic (Dembo, Eisenstat & Steihaug 1982)."""
+    return FORCING * min(g, 1.0) * g
+
+
 def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
     """Full-step Newton on the residual; returns a NewtonResult.
 
     Iteration 0 factors its Jacobian on the workspace's solver
     (`work.solver`) and later iterations solve with that LU refined against
-    their own Jacobian (`BorderedSolver.update`), so every update is an exact
-    Newton step to the solver's backward-error bound, and the tangent and the
-    steps that follow start from the same LU. The result counts the LUs and
-    refinement sweeps of this solve.
+    their own Jacobian (`BorderedSolver.update`), so the tangent and the
+    steps that follow start from the same LU. Each update is an inexact
+    Newton step: its linear residual is at most `_forcing(max|G|)`, or its
+    backward error at most BACKWARD_TOL. Convergence is judged on max|G|
+    against `tol`. The result counts the LUs and refinement sweeps of this
+    solve.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
@@ -403,7 +420,7 @@ def newton_solve(mesh, u0, prob, tol=1e-8, max_it=10, work=None):
                 solver.factor(J)
             else:
                 solver.update(J)
-            du = solver.solve(-G)
+            du = solver.solve(-G, atol=_forcing(res_norm))
         except Exception as exc:
             logger.warning("Newton linear solve failed: %s", exc)
             return result(k, res_norm, False)
@@ -450,8 +467,9 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
 
     Every iteration solves with the workspace's LU (`work.solver`), refined
     against its own Jacobian (`BorderedSolver.update`, which factors when no
-    LU is held), so each is still an exact Newton step and the iteration
-    counts are those of factoring every Jacobian.
+    LU is held) until the bordered residual is at most `_forcing(g)`, g the
+    larger of max|G| and |r2|, or the backward error at most BACKWARD_TOL.
+    Convergence is judged on max|G| and |r2| against `tol`.
     """
     n = len(u_pred)
     tu, tp = tangent[:n], float(tangent[n])
@@ -465,7 +483,8 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
         pr.set_param(p)
         G = work.residual(u, pr)
         r2 = work.inner(u - base_u, p - base_p, tu, tp) - ds
-        if float(np.max(np.abs(G))) <= tol and abs(r2) <= tol:
+        g = float(np.max(np.abs(G)))
+        if g <= tol and abs(r2) <= tol:
             return u, p, k, True
         if k == max_it:
             break
@@ -473,7 +492,8 @@ def _correct(work, prob, u_pred, p_pred, base_u, base_p, tangent, ds, tol,
         try:
             solver.update(J)
             du, dp = solver.solve_bordered(work.dresidual_dparam(u, pr), row_u,
-                                           row_p, -G, -r2)
+                                           row_p, -G, -r2,
+                                           atol=_forcing(max(g, abs(r2))))
         except Exception:
             return u, p, k, False
         if not (np.all(np.isfinite(du)) and np.isfinite(dp)):
@@ -491,7 +511,9 @@ def cont_step(state, settings, work):
     (stepsize underflow). On success the stepsize grows by 1.3 when the
     corrector needed at most 3 Newton iterations. Every corrector attempt
     and the tangent refine on the workspace's LU (`work.solver`), which
-    factors only when it holds none or refinement would miss its bound.
+    factors only when it holds none or refinement would miss its target:
+    the inexact Newton residual of `_forcing` for the corrector, the
+    backward-error bound BACKWARD_TOL for the tangent.
     `info` counts the LUs (`factorizations`) and refinement sweeps
     (`refinements`) of this step.
     """

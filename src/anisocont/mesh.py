@@ -10,7 +10,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 logger = logging.getLogger(__name__)
 
@@ -428,6 +427,8 @@ class _Locator:
         T = nodes[elements[:, 1:]] - p0[:, None, :]          # (ne, d, d) rows = edge vectors
         self.Tinv = np.linalg.inv(np.transpose(T, (0, 2, 1)))  # maps (x - p0) -> lam[1:]
         self.p0 = p0
+        # imported here: it takes 0.1 s, and runs that never adapt never locate
+        from scipy.spatial import cKDTree
         self.tree = cKDTree(nodes[elements].mean(axis=1))
         # neighbors[e, i]: the element across the facet opposite vertex i, or
         # -1 unless exactly two elements share that facet

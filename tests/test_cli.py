@@ -139,6 +139,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="ds0"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,line", [
+        ("problem", "lamda = 0.1"), ("problem", "bc5 = neumann"),
+        ("mesh", "nz = 5"), ("cont", "ds_mx = 0.1"), ("output", "snapshot_strde = 2"),
+        ("trop", "l_lwo = 0.5"), ("trop", "npb = 400"), ("trcop", "npbb = 400")])
+    def test_unknown_key_names_section_and_key(self, tmp_path, section, line):
+        # a 2D config: bc5 and nz belong to 3D, npb and crmax to [trcop]
+        path = adapt_config(tmp_path, "[trop]\nsw = 15\n[trcop]\nnpb = 40\n")
+        load_config(path)
+        path.write_text(path.read_text().replace(f"[{section}]\n",
+                                                 f"[{section}]\n{line}\n"))
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key '{key}'$"):
+            load_config(path)
+
 
 def adapt_config(tmp_path, sections):
     """`tiny_config` with the given adaptation sections appended."""

@@ -886,6 +886,110 @@ class TestReusedFactorization:
         assert seen == [] and solver.refinements > cap
 
 
+def backward_error(A, z, b):
+    return np.abs(b - A @ z).max() / (np.abs(A).sum(axis=1).max() * np.abs(z).max()
+                                      + np.abs(b).max())
+
+
+class TestForcing:
+    """Newton and corrector solves stop refining once their residual is at
+    most FORCING min(g, 1) g; the tangent keeps the backward-error bound."""
+
+    @staticmethod
+    def slow_kept_lu(cos_state):
+        """A factory of solvers on a kept LU from which refinement needs more
+        than MAX_SWEEPS sweeps to reach BACKWARD_TOL (see
+        test_slow_contraction_refactors_early), f, and that LU's iterates
+        z_k and residuals max|f - J z_k|, z_0 the plain back-solve."""
+        m, u, prob = cos_state
+        work = ct.FemWorkspace(m, prob)
+        J = work.jacobian(u, prob)
+        far = prob.copy()
+        far.lam = -0.1
+        J_far = work.jacobian(u, far)
+        f = np.random.default_rng(8).standard_normal(m.num_nodes)
+
+        def kept():
+            solver = ct.BorderedSolver(J_far)
+            solver.update(J)
+            return solver
+
+        lu, z, iterates, errs = kept().lu, None, [], []
+        for _ in range(ct.MAX_SWEEPS + 2):
+            z = lu.solve(f) if z is None else z + lu.solve(f - J @ z)
+            iterates.append(z)
+            errs.append(np.abs(f - J @ z).max())
+        return kept, f, iterates, errs
+
+    def test_stops_at_the_first_sweep_within_atol(self, cos_state):
+        kept, f, iterates, errs = self.slow_kept_lu(cos_state)
+        assert all(b < a for a, b in zip(errs, errs[1:]))
+        for k in (0, 3):
+            solver = kept()
+            x = solver.solve(f, atol=0.5 * (errs[k] + errs[k + 1]))
+            assert solver.refinements == k + 1 and solver.refactors == 0
+            assert x.tobytes() == iterates[k + 1].tobytes()
+
+    def test_reachable_loose_target_keeps_the_lu(self, cos_state):
+        kept, f, _, errs = self.slow_kept_lu(cos_state)
+        cap = ct.MAX_SWEEPS
+        solver = kept()
+        solver.solve(f, atol=errs[cap])
+        assert solver.refinements == cap and solver.refactors == 0
+        # one sweep further than the cap: refactored early, as with atol = 0
+        for atol in (errs[cap + 1], 0.0):
+            solver = kept()
+            solver.solve(f, atol=atol)
+            assert solver.refactors == 1 and solver.fresh
+
+    @pytest.mark.parametrize("state", ["switched_state", "spot3d_state"])
+    def test_corrector_refines_less(self, state, request, monkeypatch):
+        m, u, prob = request.getfixturevalue(state)
+        seed = np.zeros(m.num_nodes + 1)
+        seed[-1] = 1.0
+        p0, ds, tol = prob.get_param(), 0.02, 1e-10
+
+        def corrected():
+            work = ct.FemWorkspace(m, prob)
+            t = ct.compute_tangent(work, u, prob, seed)     # leaves its LU
+            sweeps, lus = work.solver.refinements, work.solver.factorizations
+            u1, p1, iters, ok = ct._correct(work, prob, u + ds * t[:-1],
+                                            p0 + ds * t[-1], u, p0, t, ds, tol, 10)
+            assert ok and work.solver.factorizations == lus
+            pr = prob.copy()
+            pr.set_param(p1)
+            assert np.abs(work.residual(u1, pr)).max() <= tol
+            assert abs(work.inner(u1 - u, p1 - p0, t[:-1], t[-1]) - ds) <= tol
+            return iters, work.solver.refinements - sweeps
+
+        iters, sweeps = corrected()
+        monkeypatch.setattr(ct, "FORCING", 0.0)            # every solve to 1e-12
+        exact_iters, exact_sweeps = corrected()
+        assert iters == exact_iters >= 2
+        assert sweeps < exact_sweeps
+
+    def test_tangent_keeps_the_backward_error_bound(self, spot3d_state):
+        m, u, prob = spot3d_state
+        work = ct.FemWorkspace(m, prob)
+        work.solver.factor(work.jacobian(1.02 * u, prob))
+        solves = []
+        real = work.solver.solve_bordered
+
+        def recorded(*args, **kwargs):
+            solves.append((args, kwargs, real(*args, **kwargs)))
+            return solves[-1][2]
+
+        work.solver.solve_bordered = recorded
+        seed = np.zeros(m.num_nodes + 1)
+        seed[-1] = 1.0
+        ct.compute_tangent(work, u, prob, seed)
+        (g, r, c, f, h), kwargs, (x, y) = solves[0]
+        assert kwargs.get("atol", 0.0) == 0.0
+        assert work.solver.factorizations == 1 and work.solver.refinements > 0
+        A = bordered_dense(work.jacobian(u, prob), g, r, c)
+        assert backward_error(A, np.append(x, y), np.append(f, h)) <= ct.BACKWARD_TOL
+
+
 class TestJacobianMemo:
     def test_same_state_assembles_once(self, cos_state, monkeypatch):
         m, u, prob = cos_state

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +348,18 @@ class TestBatchedInterpolation:
         with caplog.at_level("WARNING", logger="anisocont.mesh"):
             ac.interpolate(square_mesh, square_mesh.nodes[:, 0], probe)
         assert "1 of 2 points fell outside" in caplog.text
+
+    def test_kd_tree_imported_on_first_location_only(self):
+        src = str(Path(ac.__file__).resolve().parent.parent)
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "import anisocont\n"
+                "assert 'scipy.spatial' not in sys.modules\n"
+                "anisocont.build_rect_mesh(1, 1, 3, 3).locator()\n"
+                "assert 'scipy.spatial' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestQuality:
