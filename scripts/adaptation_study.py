@@ -24,10 +24,7 @@ def field(nodes):
 def linf_error(mesh, n_sample=301):
     xs = np.linspace(-1.999, 1.999, n_sample)
     sample = np.array([(x, y) for y in xs for x in xs])
-    probe = ac.SimplicialMesh(2, sample, np.zeros((0, 3), dtype=int),
-                              np.zeros((0, 2), dtype=int),
-                              np.zeros(0, dtype=int),
-                              [frozenset()] * len(sample), mesh.box)
+    probe = ac.SimplicialMesh(2, sample, np.zeros((0, 3), dtype=int), mesh.box)
     vals = ac.interpolate(mesh, field(mesh.nodes), probe)
     return float(np.abs(vals - field(sample)).max())
 

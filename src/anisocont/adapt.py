@@ -6,8 +6,9 @@ metric between inner iterations and stops once the longest metric edge drops
 below the upper threshold. `two_step_adapt` optionally coarsens to a node
 budget first and then adapts with refinement enabled. Refine, move and swap
 work on whole arrays. Coarsen commits one collapse at a time on `_Editor`'s
-dict maps, since each collapse decides which edges the next ones see, but
-plans and scores its attempts in windows.
+node-to-element maps, since each collapse decides which edges the next ones
+see, but plans and scores its attempts in windows. Every pass returns nodes,
+elements and box; the mesh derives its boundary from them.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from itertools import chain
 
 import numpy as np
 
-from .mesh import (SimplicialMesh, _facet_keys, _node_flags, _p1_weights,
-                   _pairs, _slots_by_count, facet_topology, quality,
-                   signed_volumes, sub_simplices, validate)
+from .mesh import (SimplicialMesh, _facet_keys, _p1_weights, _pairs,
+                   _slots_by_count, facet_topology, quality, signed_volumes,
+                   sub_simplices, validate)
 from .metric import MetricField, EtaPolicy, edge_lengths, metric_for_field
 
 logger = logging.getLogger(__name__)
@@ -181,13 +182,6 @@ class _Editor:
             self.elem_key[tuple(sorted(nodes))] = e
             for v in nodes:
                 self.node2el[v].add(e)
-        self.facets = {}
-        self.node2facets = [set() for _ in range(n)]
-        for facet, seg in zip(mesh.boundary_facets, mesh.facet_segments):
-            key = tuple(sorted(int(v) for v in facet))
-            self.facets[key] = int(seg)
-            for v in key:
-                self.node2facets[v].add(key)
         # combined quality per element; coords and tensors never change in a
         # pass, so an entry changes only when a collapse rewires its element
         self.elem_q = quality(mesh.nodes, psi.tensors, mesh.elements, qual_p).tolist()
@@ -265,22 +259,10 @@ class _Editor:
         if any(self.node2el[v] <= dying
                for e in dying for v in self.elems[e] if v != r):
             return None
-        dead_facets = []
-        remapped = []
-        new_fkeys = set()
-        for key in sorted(self.node2facets[r]):
-            if s in key:
-                dead_facets.append(key)
-                continue
-            newkey = tuple(sorted(s if v == r else v for v in key))
-            if newkey in self.facets or newkey in new_fkeys:
-                return None                 # would merge boundary facets
-            new_fkeys.add(newkey)
-            remapped.append((key, newkey))
-        return (s, r, dying, new_elems, dead_facets, remapped)
+        return (s, r, dying, new_elems)
 
     def _commit_collapse(self, plan, q_new):
-        s, r, dying, new_elems, dead_facets, remapped = plan
+        s, r, dying, new_elems = plan
         for e in dying:
             del self.elem_key[tuple(sorted(self.elems[e]))]
             for v in self.elems[e]:
@@ -293,46 +275,18 @@ class _Editor:
             self.node2el[r].discard(e)
             self.node2el[s].add(e)
             self.elem_q[e] = q
-        for key in dead_facets:
-            del self.facets[key]
-            for v in key:
-                self.node2facets[v].discard(key)
-        for old, new in remapped:
-            seg = self.facets.pop(old)
-            self.facets[new] = seg
-            for v in old:
-                self.node2facets[v].discard(old)
-            for v in new:
-                self.node2facets[v].add(new)
         self.alive[r] = False
         self.node2el[r] = set()
-        self.node2facets[r] = set()
         self.n_alive_nodes -= 1
 
     def to_mesh(self):
-        """Mesh (`_normal_form`), field and metric on the alive nodes."""
+        """Mesh, field and metric on the alive nodes."""
         keep = np.flatnonzero(self.alive)
         remap = np.cumsum(self.alive) - 1       # the new ids of the alive nodes
         elements = np.array([e for e in self.elems if e is not None], dtype=np.int64)
-        facets = np.array(list(self.facets), dtype=np.int64).reshape(
-            len(self.facets), self.mesh.dim)
-        segs = np.fromiter(self.facets.values(), dtype=np.int64,
-                           count=len(self.facets))
-        new_mesh = _normal_form(self.mesh, self.coords[keep], remap[elements],
-                                remap[facets], segs)
+        new_mesh = SimplicialMesh(self.mesh.dim, self.coords[keep], remap[elements],
+                                  self.mesh.box)
         return new_mesh, self.u[keep], MetricField(self.tensors[keep])
-
-
-def _normal_form(mesh, nodes, elements, facets, segs):
-    """A mesh of `mesh`'s box in the normal form of every coarsen and refine
-    result: each facet row sorted, rows in lexicographic order, node flags
-    from `_node_flags`."""
-    facets = np.sort(facets, axis=1)
-    order = np.lexsort(facets.T[::-1])
-    facets, segs = facets[order], np.asarray(segs, dtype=np.int64)[order]
-    flags, _, _ = _node_flags(len(nodes), facets, segs)
-    return SimplicialMesh(mesh.dim, nodes, elements, facets, segs, flags,
-                          mesh.box.copy())
 
 
 def coarsen_pass(mesh, u, psi, opts):
@@ -341,7 +295,7 @@ def coarsen_pass(mesh, u, psi, opts):
     When `opts` carries a positive node budget `npb`, edges beyond `l_low`
     are also collapsed (still in ascending length order) until the node
     count drops to the budget. A pass with nothing to try returns the input
-    in normal form without building the editor.
+    mesh without building the editor.
 
     The attempts run in windows. A window plans its next attempts on the
     same editor state, scores all their plans in one quality call and
@@ -362,8 +316,7 @@ def coarsen_pass(mesh, u, psi, opts):
         return long[i] and (npb <= 0 or n_alive <= npb)
 
     if len(order) == 0 or done(0, mesh.num_nodes):
-        return (_normal_form(mesh, mesh.nodes, mesh.elements, mesh.boundary_facets,
-                             mesh.facet_segments), np.array(u, dtype=float), psi, 0)
+        return mesh, np.array(u, dtype=float), psi, 0
     ed = _Editor(mesh, u, psi, opts.qual_p)
     alive = ed.alive
     n_collapsed, i, width = 0, 0, _WINDOW_MIN
@@ -403,17 +356,15 @@ def refine_pass(mesh, u, psi, opts):
 
     Each round marks the longest metric edge of every element whose longest
     metric edge exceeds `l_up` and bisects every marked edge, with field and
-    metric tensors averaged from its endpoints, splitting every element and
-    boundary facet on it (`_bisect`). The midpoint of the marked edge of rank
-    k, by descending length and then node ids, is node n + k. Rounds repeat
-    until no element violates the bound, or warn after `_MAX_REFINE_ROUNDS`.
+    metric tensors averaged from its endpoints, splitting every element on
+    it (`_bisect`). The midpoint of the marked edge of rank k, by descending
+    length and then node ids, is node n + k. Rounds repeat until no element
+    violates the bound, or warn after `_MAX_REFINE_ROUNDS`.
     """
     pairs = _pairs(mesh.dim + 1)
     coords, tensors = mesh.nodes, psi.tensors
     u = np.array(u, dtype=float)
     elems = np.asarray(mesh.elements, dtype=np.int64)
-    facets = np.asarray(mesh.boundary_facets, dtype=np.int64)
-    segs = np.asarray(mesh.facet_segments, dtype=np.int64)
     n_split = 0
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
         # one length per unique edge (swapped endpoints give the same bits)
@@ -433,12 +384,12 @@ def refine_pass(mesh, u, psi, opts):
         length = np.full(len(ends), -np.inf)
         np.maximum.at(length, inverse, longest[viol])
         a, b = ends[np.lexsort((ends[:, 1], ends[:, 0], -length))].T
-        elems, facets, segs = _bisect(elems, facets, segs, a, b, len(coords))
+        elems = _bisect(elems, a, b, len(coords))
         coords = np.concatenate([coords, 0.5 * (coords[a] + coords[b])])
         u = np.concatenate([u, 0.5 * (u[a] + u[b])])
         tensors = np.concatenate([tensors, 0.5 * (tensors[a] + tensors[b])])
         n_split += len(a)
-    return (_normal_form(mesh, coords, elems, facets, segs), u, MetricField(tensors),
+    return (SimplicialMesh(mesh.dim, coords, elems, mesh.box), u, MetricField(tensors),
             n_split)
 
 
@@ -448,15 +399,15 @@ def _edge_keys(a, b, n):
     return _facet_keys(np.column_stack([np.minimum(a, b), np.maximum(a, b)]), n)
 
 
-def _bisect(elems, facets, segs, a, b, n):
+def _bisect(elems, a, b, n):
     """Split the edges (a[k], b[k]), a < b < n, at new nodes n + k, with
     the result of splitting them one at a time in rank order k.
 
     Each sub-round splits at once every pending edge that is the lowest
-    pending one of all elements on it; these share no element (or facet),
-    and every element sees its edges split in rank order. A child keeps its
-    parent's vertex positions, so it inherits the parent's edge ranks, less
-    those of the edges through the replaced vertex. Elements come out in
+    pending one of all elements on it; these share no element, and every
+    element sees its edges split in rank order. A child keeps its parent's
+    vertex positions, so it inherits the parent's edge ranks, less those of
+    the edges through the replaced vertex. Elements come out in
     one-at-a-time order, sorted by (rank of their split, 2 * parent
     position + child), originals by (-1, index); child 0 has b replaced.
     """
@@ -465,35 +416,14 @@ def _bisect(elems, facets, segs, a, b, n):
     by_key = np.argsort(mkeys)
     pending = np.ones(m + 1, dtype=bool)
     pending[m] = False              # rank m stands for "no marked edge"
-
-    def edge_ranks(rows):
-        """Rank of the marked edge at each vertex pair of `rows`, else m;
-        also the (vertex, pair) incidence of the pairs."""
-        nv = rows.shape[1]
-        pairs = _pairs(nv)
-        ends = rows[:, pairs].reshape(-1, 2)
-        keys = _edge_keys(ends[:, 0], ends[:, 1], n)
-        pos = np.minimum(np.searchsorted(mkeys, keys, sorter=by_key), m - 1)
-        rank = np.where(mkeys[by_key[pos]] == keys, by_key[pos], m)
-        incidence = np.array([[v in p for p in pairs] for v in range(nv)])
-        return rank.reshape(len(rows), len(pairs)), incidence
-
-    def split(rows, rank, incidence, lowest, go):
-        """The unsplit rows, the split ones, their split ranks, and the two
-        children of each with their edge ranks."""
-        hit = np.nonzero(go[lowest])[0]
-        k, parents = lowest[hit], rows[hit]
-        rest = np.ones(len(rows), dtype=bool)
-        rest[hit] = False
-        children = []
-        for end in (b, a):
-            at = parents == end[k, None]
-            children.append((np.where(at, (n + k)[:, None], parents),
-                             np.where(at @ incidence, m, rank[hit])))
-        return rest, hit, k, children
-
-    erank, eincidence = edge_ranks(elems)
-    frank, fincidence = edge_ranks(facets)
+    # the rank of the marked edge at each vertex pair of each element, else
+    # m; and the (vertex, pair) incidence of the pairs
+    pairs = _pairs(elems.shape[1])
+    ends = elems[:, pairs].reshape(-1, 2)
+    keys = _edge_keys(ends[:, 0], ends[:, 1], n)
+    at_key = by_key[np.minimum(np.searchsorted(mkeys, keys, sorter=by_key), m - 1)]
+    erank = np.where(mkeys[at_key] == keys, at_key, m).reshape(len(elems), len(pairs))
+    incidence = np.array([[v in p for p in pairs] for v in range(elems.shape[1])])
     key_rank = np.full(len(elems), -1, dtype=np.int64)
     key_pos = np.arange(len(elems))
     while pending.any():
@@ -501,24 +431,27 @@ def _bisect(elems, facets, segs, a, b, n):
         lowest = low.min(axis=1)
         go = pending.copy()
         go[low[low > lowest[:, None]]] = False     # waits behind a lower edge
-        flowest = np.where(pending[frank], frank, m).min(axis=1)
         pending &= ~go
-        rest, hit, k, ((c0, r0), (c1, r1)) = split(elems, erank, eincidence,
-                                                   lowest, go)
+        # split every element whose lowest pending edge goes, into the
+        # children with b and with a replaced
+        hit = np.nonzero(go[lowest])[0]
+        k, parents = lowest[hit], elems[hit]
+        rest = np.ones(len(elems), dtype=bool)
+        rest[hit] = False
+        children, ranks = [], []
+        for end in (b, a):
+            at = parents == end[k, None]
+            children.append(np.where(at, (n + k)[:, None], parents))
+            ranks.append(np.where(at @ incidence, m, erank[hit]))
         # the position of each parent among the parents of its split
         order = np.lexsort((key_pos[hit], key_rank[hit], k))
         pos = np.empty(len(hit), dtype=np.int64)
         pos[order] = np.arange(len(hit)) - np.searchsorted(k[order], k[order])
-        elems = np.concatenate([elems[rest], c0, c1])
-        erank = np.concatenate([erank[rest], r0, r1])
+        elems = np.concatenate([elems[rest], *children])
+        erank = np.concatenate([erank[rest], *ranks])
         key_rank = np.concatenate([key_rank[rest], k, k])
         key_pos = np.concatenate([key_pos[rest], 2 * pos, 2 * pos + 1])
-        rest, hit, _, ((c0, r0), (c1, r1)) = split(facets, frank, fincidence,
-                                                   flowest, go)
-        facets = np.concatenate([facets[rest], c0, c1])
-        frank = np.concatenate([frank[rest], r0, r1])
-        segs = np.concatenate([segs[rest], segs[hit], segs[hit]])
-    return elems[np.lexsort((key_pos, key_rank))], facets, segs
+    return elems[np.lexsort((key_pos, key_rank))]
 
 
 def move_pass(mesh, u, psi, opts):
@@ -541,7 +474,7 @@ def move_pass(mesh, u, psi, opts):
     n = mesh.num_nodes
     nodes, elements, tensors = mesh.nodes, mesh.elements, psi.tensors
     a, b = mesh.edges().T
-    _, seg_ids, member = _node_flags(n, mesh.boundary_facets, mesh.facet_segments)
+    seg_ids, member = mesh.segment_membership
     n_segs = member.sum(axis=1)
     face = member.argmax(axis=1)
     # the neighbours j a node i averages: all of them for an interior node,
@@ -604,8 +537,7 @@ def move_pass(mesh, u, psi, opts):
         u_new[moved] = (lam * u_old[verts]).sum(axis=1)
         tensors_new[moved] = sum(lam[:, v, None, None] * tensors[verts[:, v]]
                                  for v in range(d + 1))
-    return (replace(mesh, nodes=coords, _locator=None), u_new, MetricField(tensors_new),
-            len(moved))
+    return replace(mesh, nodes=coords), u_new, MetricField(tensors_new), len(moved)
 
 
 def swap_pass(mesh, u, psi, opts):
@@ -629,8 +561,7 @@ def swap_pass(mesh, u, psi, opts):
         n_swaps += swaps
         if swaps == 0:
             break
-    return (replace(mesh, elements=elems, _locator=None), np.array(u, dtype=float),
-            psi, n_swaps)
+    return replace(mesh, elements=elems), np.array(u, dtype=float), psi, n_swaps
 
 
 def _take_disjoint(groups, used):

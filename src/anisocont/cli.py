@@ -13,6 +13,7 @@ import numpy as np
 from . import meshio
 from .adapt import AdaptOptions, CoarsenOptions, tradapt, two_step_adapt
 from .config import ConfigError, load_config
+from .mesh import validate
 from .continuation import (BPEvent, ContinuationState, branch_csv_header,
                            branch_csv_row, run_continuation)
 from .metric import EtaPolicy
@@ -112,6 +113,10 @@ def cmd_adapt(args):
         print(f"error: field has {len(u)} values for {mesh.num_nodes} nodes",
               file=sys.stderr)
         return 2
+    report = validate(mesh)
+    if not report.ok:
+        print(f"error: invalid input mesh: {report}", file=sys.stderr)
+        return 2
     eta_policy = (EtaPolicy.linear_in_np(args.eta_np) if args.eta_np
                   else EtaPolicy.constant(args.eta))
     trop = AdaptOptions.for_dim(mesh.dim, eta_policy=eta_policy, sw=args.sw,
@@ -152,7 +157,6 @@ def cmd_plot(args):
 
 
 def cmd_validate(args):
-    from .mesh import validate
     if not os.path.exists(args.mesh):
         print(f"error: input file not found: {args.mesh}", file=sys.stderr)
         return 2

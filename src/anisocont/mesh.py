@@ -63,20 +63,23 @@ class SegmentMap:
 class SimplicialMesh:
     """Conforming simplicial mesh of a coordinate-aligned box.
 
-    All elements are positively oriented. `boundary_node_flags[i]` is the
-    (frozen)set of segment ids of boundary facets containing node i; interior
-    nodes carry the empty set. Meshes are treated as immutable once built:
-    adaptation passes construct new instances.
+    All elements are positively oriented. The boundary is derived from the
+    elements and the box on first use, once per mesh: `boundary_facets` are
+    the facets of exactly one element, as sorted node-id rows in
+    lexicographic order; `facet_segments[k]` is the id of the box face that
+    holds facet k, or 0 unless exactly one face holds it; and
+    `boundary_node_flags[i]` is the frozenset of segment ids of the boundary
+    facets containing node i, empty for interior nodes. Meshes are treated
+    as immutable once built: adaptation passes construct new instances.
     """
 
     dim: int
     nodes: np.ndarray            # (n_nodes, dim) float
     elements: np.ndarray         # (n_elems, dim+1) int
-    boundary_facets: np.ndarray  # (n_facets, dim) int, node ids sorted per facet
-    facet_segments: np.ndarray   # (n_facets,) int segment ids
-    boundary_node_flags: list    # per node: frozenset of segment ids
     box: np.ndarray              # (dim, 2) low/high per axis
-    _locator: object = field(default=None, repr=False, compare=False)
+    # derived on first use; `dataclasses.replace` starts them afresh
+    _derived: tuple = field(default=None, init=False, repr=False, compare=False)
+    _locator: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self):
@@ -98,6 +101,39 @@ class SimplicialMesh:
 
     def edges(self):
         return unique_edges(self.elements)
+
+    def _derived_boundary(self):
+        """Boundary facets, their segment ids, `_node_flags` of them, and the
+        number of facets in more than two elements, from one `facet_topology`
+        call whose arrays are not kept."""
+        if self._derived is None:
+            facets, _, counts = facet_topology(self.elements, self.num_nodes)
+            boundary = facets[counts == 1]
+            segs = _facet_segments(self.nodes, boundary, self.segment_map)
+            self._derived = (boundary, segs, *_node_flags(self.num_nodes, boundary, segs),
+                             int(np.sum(counts > 2)))
+        return self._derived
+
+    @property
+    def boundary_facets(self):
+        """(n_facets, dim) int64 node ids, each row sorted, rows in order."""
+        return self._derived_boundary()[0]
+
+    @property
+    def facet_segments(self):
+        """(n_facets,) int64 segment ids, 0 for a facet off the box faces."""
+        return self._derived_boundary()[1]
+
+    @property
+    def boundary_node_flags(self):
+        """Per node, the frozenset of segment ids of its boundary facets."""
+        return self._derived_boundary()[2]
+
+    @property
+    def segment_membership(self):
+        """The ascending segment ids of the boundary facets, and the
+        (n_nodes, n_ids) bool matrix of the nodes on a facet of each."""
+        return self._derived_boundary()[3:5]
 
     def locator(self):
         if self._locator is None:
@@ -276,22 +312,14 @@ def _node_flags(n_nodes, facets, segs):
     return [sets[k] for k in which.ravel()], seg_ids, member
 
 
-def _derive_boundary(dim, nodes, elements, box):
-    """Topological boundary facets, their segment ids, and per-node flag sets."""
-    facets, _, counts = facet_topology(elements, len(nodes))
-    facets = facets[counts == 1]
-    ids, axes, values = SegmentMap(dim, box).planes()
-    tol = 1e-12 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
+def _facet_segments(nodes, facets, smap):
+    """Per facet, the id of the box face of `smap` that holds all its nodes
+    within 1e-9 of the box diameter; 0 when no face or several do."""
+    ids, axes, values = smap.planes()
+    tol = 1e-9 * float(np.linalg.norm(smap.box[:, 1] - smap.box[:, 0]))
     on_face = np.abs(nodes[:, axes] - values) <= tol        # (n_nodes, n_segs)
     candidates = np.logical_and.reduce(on_face[facets], axis=1)
-    bad = np.nonzero(candidates.sum(axis=1) != 1)[0]
-    if bad.size:
-        n = bad[0]
-        key = tuple(int(v) for v in facets[n])
-        found = {int(s) for s in ids[candidates[n]]}
-        raise ValueError(f"boundary facet {key} not on a unique box face: {found}")
-    segs = ids[candidates.argmax(axis=1)]
-    return facets, segs, _node_flags(len(nodes), facets, segs)[0]
+    return np.where(candidates.sum(axis=1) == 1, ids[candidates.argmax(axis=1)], 0)
 
 
 def _grid(extents, counts):
@@ -328,8 +356,7 @@ def build_rect_mesh(lx, ly, nx, ny):
     quad = np.column_stack([n00, n00 + 1, n00 + nx, n00 + nx + 1])
     tris = _RECT_SPLITS[(i + j) % 2].reshape(len(quad), 6)
     elements = np.take_along_axis(quad, tris, axis=1).reshape(-1, 3)
-    facets, segs, flags = _derive_boundary(2, nodes, elements, box)
-    return SimplicialMesh(2, nodes, elements, facets, segs, flags, box)
+    return SimplicialMesh(2, nodes, elements, box)
 
 
 # All six permutations of (0,1,2); tets of the Kuhn cube split follow the
@@ -356,8 +383,7 @@ def build_box_mesh(lx, ly, lz, nx, ny, nz):
     vols = signed_volumes(nodes, elements)
     flip = vols < 0
     elements[flip] = elements[flip][:, [0, 2, 1, 3]]
-    facets, segs, flags = _derive_boundary(3, nodes, elements, box)
-    return SimplicialMesh(3, nodes, elements, facets, segs, flags, box)
+    return SimplicialMesh(3, nodes, elements, box)
 
 
 @dataclass
@@ -379,40 +405,20 @@ class ValidationReport:
         return self.total_defects == 0
 
 
-def validate(mesh, boundary_tol=1e-9):
+def validate(mesh):
     """Check orientation, conformity, orphan nodes and boundary geometry.
 
-    Boundary node coordinates are compared against the box faces with an
-    absolute tolerance of `boundary_tol` times the box diameter. Never
-    mutates the mesh; defects are reported as counts, not raised.
+    A boundary defect is a boundary facet that no single box face holds
+    (segment 0 in `facet_segments`). Never mutates the mesh; defects are
+    reported as counts, not raised.
     """
     rep = ValidationReport()
-    vols = mesh.element_volumes()
-    rep.inverted_elements = int(np.sum(vols <= 0))
-
-    facets, _, counts = facet_topology(mesh.elements, mesh.num_nodes)
-    rep.nonconforming_facets += int(np.sum(counts > 2))
-    topo_boundary = _facet_keys(facets[counts == 1], mesh.num_nodes)
-    stored = _facet_keys(np.sort(mesh.boundary_facets, axis=1), mesh.num_nodes)
-    rep.nonconforming_facets += len(np.setxor1d(topo_boundary, stored))
-
+    rep.inverted_elements = int(np.sum(mesh.element_volumes() <= 0))
+    rep.nonconforming_facets = mesh._derived_boundary()[5]
     used = np.zeros(mesh.num_nodes, dtype=bool)
     used[mesh.elements.ravel()] = True
     rep.orphan_nodes = int(np.sum(~used))
-
-    ids, axes, values = mesh.segment_map.planes()
-    segs = mesh.facet_segments
-    rep.boundary_defects += int(np.sum(~np.isin(segs, ids)))
-    # a node's flags must be the segments of its stored facets, and the node
-    # must lie on the face of each valid one; each node counts once
-    derived, seg_ids, member = _node_flags(mesh.num_nodes, mesh.boundary_facets, segs)
-    mismatch = np.fromiter((f != g for f, g in zip(mesh.boundary_node_flags, derived)),
-                           dtype=bool, count=mesh.num_nodes)
-    valid = np.isin(seg_ids, ids)
-    k = np.searchsorted(ids, seg_ids[valid])
-    on_face = np.abs(mesh.nodes[:, axes[k]] - values[k]) <= boundary_tol * mesh.diameter()
-    rep.boundary_defects += int(np.sum(mismatch | np.any(member[:, valid] & ~on_face,
-                                                         axis=1)))
+    rep.boundary_defects = int(np.sum(mesh.facet_segments == 0))
     return rep
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import SimplicialMesh, _derive_boundary
+from .mesh import SimplicialMesh
 
 _FMT = "%.17g"
 
@@ -18,7 +18,8 @@ def _write_rows(f, fmt, rows):
 
 
 def write_mesh_text(path, mesh):
-    """Write a mesh in the plain-text format (node/element/facet tables)."""
+    """Write a mesh in the plain-text format: node and element tables, then
+    the boundary facets derived from them, each with its segment id."""
     d = mesh.dim
     with open(path, "w") as f:
         f.write("anisocont-mesh 1\n")
@@ -35,7 +36,9 @@ def write_mesh_text(path, mesh):
 
 
 def read_mesh_text(path):
-    """Read a mesh written by `write_mesh_text`."""
+    """Read a mesh written by `write_mesh_text`. The facet table must be the
+    boundary derived from the elements and box, up to row order and the
+    order within rows; anything else raises ValueError."""
     with open(path) as f:
         tokens = f.read().split("\n")
     lines = [ln for ln in tokens if ln.strip()]
@@ -62,15 +65,14 @@ def read_mesh_text(path):
     elements = np.array([[int(v) for v in take().split()] for _ in range(n_elems)],
                         dtype=np.int64)
     n_facets = int(take().split()[1])
-    facets = np.zeros((n_facets, dim), dtype=np.int64)
-    segs = np.zeros(n_facets, dtype=np.int64)
-    for k in range(n_facets):
-        vals = [int(v) for v in take().split()]
-        facets[k] = vals[:dim]
-        segs[k] = vals[dim]
-    # node flags are derived, not stored
-    _, _, flags = _derive_boundary(dim, nodes, elements, box)
-    return SimplicialMesh(dim, nodes, elements, facets, segs, flags, box)
+    table = np.array([[int(v) for v in take().split()] for _ in range(n_facets)],
+                     dtype=np.int64).reshape(n_facets, dim + 1)
+    table[:, :dim].sort(axis=1)
+    mesh = SimplicialMesh(dim, nodes, elements, box)
+    derived = np.column_stack([mesh.boundary_facets, mesh.facet_segments])
+    if not np.array_equal(table[np.lexsort(table.T[::-1])], derived):
+        raise ValueError(f"{path}: facet table is not the boundary of the elements")
+    return mesh
 
 
 def write_field_text(path, u):

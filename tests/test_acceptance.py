@@ -160,10 +160,7 @@ def test_criterion_05_metric_uniformity_and_interp_error(tanh_adapted):
         sample = np.array([(x, y) for y in xs for x in xs])
 
         def linf_interp_error(m):
-            probe = ac.SimplicialMesh(2, sample, np.zeros((0, 3), dtype=int),
-                                      np.zeros((0, 2), dtype=int),
-                                      np.zeros(0, dtype=int),
-                                      [frozenset()] * len(sample), m.box)
+            probe = ac.SimplicialMesh(2, sample, np.zeros((0, 3), dtype=int), m.box)
             vals = ac.interpolate(m, f(m.nodes), probe)
             return np.abs(vals - f(sample)).max()
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,15 +121,11 @@ class TestCoarsenPass:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_noop_skips_editor_in_normal_form(self, dim, monkeypatch):
-        # facets out of order and unsorted within rows: the pass without
-        # collapses must still return the editor's normal form, bitwise
-        base = (ac.build_rect_mesh(1, 1, 3, 3) if dim == 2
-                else ac.build_box_mesh(1.0, 1.0, 1.0, 3, 3, 3))
+        # the pass without collapses must still return what the editor
+        # builds (`_Editor.to_mesh`), bitwise
+        m = (ac.build_rect_mesh(1, 1, 3, 3) if dim == 2
+             else ac.build_box_mesh(1.0, 1.0, 1.0, 3, 3, 3))
         rng = np.random.default_rng(5)
-        perm = rng.permutation(len(base.boundary_facets))
-        m = mesh_module.SimplicialMesh(
-            dim, base.nodes, base.elements, base.boundary_facets[perm, ::-1],
-            base.facet_segments[perm], base.boundary_node_flags, base.box)
         u = rng.standard_normal(m.num_nodes)
         psi = uniform_metric(m, np.eye(dim))      # h = 1 >= l_low
         opts = ac.CoarsenOptions.from_trop(ac.AdaptOptions.for_dim(dim),
@@ -147,7 +145,6 @@ class TestCoarsenPass:
                          (psi2.tensors, ref_psi.tensors)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert m2.boundary_node_flags == ref_mesh.boundary_node_flags
-        assert not np.array_equal(m2.boundary_facets, m.boundary_facets)
 
     def test_all_short_edges_coarsen(self):
         m = ac.build_rect_mesh(1, 1, 9, 9)      # h = 0.25
@@ -183,12 +180,31 @@ class TestCoarsenPass:
 def coarsen_oracle(mesh, u, psi, opts):
     """The coarsen loop `adapt.coarsen_pass` replaced, kept as its bitwise
     reference: it tries the edges one at a time, shortest first, and scores
-    each attempt's plans in a quality call of its own. Returns the pass's
-    result and the edges it reached with both endpoints alive."""
+    each attempt's plans in a quality call of its own.
+
+    It also tracks the boundary facets through each committed collapse of r
+    into s, on a dict of its own: a facet through r dies if it holds s too,
+    and moves onto s otherwise. A plan that would move a facet onto another
+    boundary facet is counted; none may be committed. Returns the pass's
+    result and a log: the edges reached with both endpoints alive, the
+    tracked boundary (sorted rows in the result's node ids, in order, and
+    their segment ids) and the number of such plans."""
     edges = mesh_module.unique_edges(mesh.elements)
     lens = metric.edge_lengths(mesh.nodes, psi.tensors, edges)
     npb = int(getattr(opts, "npb", 0))
     ed = adapt._Editor(mesh, u, psi, opts.qual_p)
+    facets = {tuple(f): s for f, s in zip(mesh.boundary_facets.tolist(),
+                                          mesh.facet_segments.tolist())}
+    log = SimpleNamespace(reached=[], merging_plans=0)
+
+    def facet_moves(plan):
+        """The (old, new) keys of the facets `plan` moves onto s, and
+        whether one of them lands on a boundary facet."""
+        s, r = plan[:2]
+        moves = [(key, tuple(sorted(s if v == r else v for v in key)))
+                 for key in facets if r in key and s not in key]
+        new = [key for _, key in moves]
+        return moves, len(set(new)) < len(new) or any(key in facets for key in new)
 
     def try_collapse(a, b):
         fa, fb = ed.flags[a], ed.flags[b]
@@ -199,6 +215,7 @@ def coarsen_oracle(mesh, u, psi, opts):
             directions.append((b, a))
         plans = [plan for plan in (ed._plan_collapse(s, r) for s, r in directions)
                  if plan is not None]
+        log.merging_plans += sum(facet_moves(plan)[1] for plan in plans)
         if not plans:
             return False
         rows = [nodes for plan in plans for _, nodes, _ in plan[3]]
@@ -217,36 +234,48 @@ def coarsen_oracle(mesh, u, psi, opts):
                 best = (min_q, plan, q_plan)
         if best is None:
             return False
+        moves, merges = facet_moves(best[1])
+        assert not merges, best[1][:2]
+        for old, new in moves:
+            facets[new] = facets.pop(old)
+        r = best[1][1]
+        for key in [key for key in facets if r in key]:     # through s too
+            del facets[key]
         ed._commit_collapse(*best[1:])
         return True
 
     n_collapsed = 0
-    reached = []
     for k in np.argsort(lens, kind="stable"):
         if lens[k] >= opts.l_low and (npb <= 0 or ed.n_alive_nodes <= npb):
             break
         a, b = int(edges[k, 0]), int(edges[k, 1])
         if not (ed.alive[a] and ed.alive[b]):
             continue
-        reached.append((a, b))
+        log.reached.append((a, b))
         if ed.node2el[a] & ed.node2el[b] and try_collapse(a, b):
             n_collapsed += 1
-    return (*ed.to_mesh(), n_collapsed), reached
+    remap = np.cumsum(ed.alive) - 1
+    rows = sorted((tuple(remap[list(key)].tolist()), seg) for key, seg in facets.items())
+    log.facets = np.array([row for row, _ in rows], dtype=np.int64).reshape(-1, mesh.dim)
+    log.segs = np.array([seg for _, seg in rows], dtype=np.int64)
+    return (*ed.to_mesh(), n_collapsed), log
 
 
 def assert_coarsen_matches_oracle(mesh, u, psi, opts):
+    """The pass against `coarsen_oracle`; returns the pass's mesh, its
+    collapse count and the oracle's log."""
     m2, u2, psi2, n = adapt.coarsen_pass(mesh, u, psi, opts)
-    (m1, u1, psi1, n_ref), _ = coarsen_oracle(mesh, u, psi, opts)
+    (m1, u1, psi1, n_ref), log = coarsen_oracle(mesh, u, psi, opts)
     assert n == n_ref
     for got, want in ((m2.nodes, m1.nodes), (m2.elements, m1.elements),
-                      (m2.boundary_facets, m1.boundary_facets),
-                      (m2.facet_segments, m1.facet_segments),
+                      (m2.boundary_facets, log.facets), (m2.facet_segments, log.segs),
                       (u2, u1), (psi2.tensors, psi1.tensors)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    assert m2.boundary_node_flags == m1.boundary_node_flags
+    flags, _, _ = mesh_module._node_flags(m2.num_nodes, log.facets, log.segs)
+    assert m2.boundary_node_flags == flags
     assert ac.validate(m2).total_defects == 0
-    return m2, n
+    return m2, n, log
 
 
 def sheared_metric(mesh, base):
@@ -278,15 +307,26 @@ class TestCoarsenAgainstOracle:
         m = perturbed(ac.build_rect_mesh(2, 1, 25, 13), 0.02, seed=1)
         u = np.sin(m.nodes[:, 0]) * m.nodes[:, 1]
         psi = sheared_metric(m, [4.0, 30.0])
-        _, n = assert_coarsen_matches_oracle(m, u, psi, opts2d())
+        _, n, _ = assert_coarsen_matches_oracle(m, u, psi, opts2d())
         assert n > 40
 
     def test_anisotropic_3d(self):
         m = perturbed(ac.build_box_mesh(1, 1, 1, 6, 6, 6), 0.04, seed=2)
         u = m.nodes @ np.array([1.0, -0.5, 0.25])
         psi = sheared_metric(m, [1.0, 6.0, 3.0])
-        _, n = assert_coarsen_matches_oracle(m, u, psi, ac.AdaptOptions.for_dim(3))
+        _, n, _ = assert_coarsen_matches_oracle(m, u, psi, ac.AdaptOptions.for_dim(3))
         assert n > 20
+
+    def test_budget_box_rejects_facet_merging_plans(self):
+        # coarsened far below the box's grid, the pass plans collapses that
+        # would land a boundary facet on another one; the oracle counts
+        # them and checks that none is committed
+        m = perturbed(ac.build_box_mesh(1, 1, 1, 7, 7, 7), 0.04, seed=2)
+        psi = sheared_metric(m, [1.0, 6.0, 3.0])
+        opts = ac.CoarsenOptions.from_trop(ac.AdaptOptions.for_dim(3), npb=60)
+        _, n, log = assert_coarsen_matches_oracle(m, m.nodes[:, 0].copy(), psi, opts)
+        assert n > 200
+        assert log.merging_plans >= 1
 
     @pytest.mark.parametrize("cut", [5, 20, 40])
     def test_budget_stops_inside_a_window(self, cut, monkeypatch):
@@ -294,18 +334,18 @@ class TestCoarsenAgainstOracle:
         m = perturbed(ac.build_rect_mesh(1, 1, 13, 13), 0.02, seed=3)
         psi = sheared_metric(m, [64.0, 64.0])
         opts = ac.CoarsenOptions.from_trop(opts2d(), npb=m.num_nodes - cut)
-        _, reached = coarsen_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        _, log = coarsen_oracle(m, np.zeros(m.num_nodes), psi, opts)
         attempts = count_calls(monkeypatch, adapt._Editor, "attempt")
-        m2, n = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        m2, n, _ = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
         assert n == cut and m2.num_nodes == opts.npb
         # the last window planned edges the one-at-a-time loop never reached
-        assert {args[1:] for args in attempts} - set(reached)
+        assert {args[1:] for args in attempts} - set(log.reached)
 
     def test_everything_short_keeps_corners_and_boundary(self):
         m = ac.build_rect_mesh(1, 1, 9, 9)
         psi = uniform_metric(m, 1e-4 * np.eye(2))
         u = np.arange(m.num_nodes, dtype=float)
-        m2, n = assert_coarsen_matches_oracle(m, u, psi, opts2d())
+        m2, n, _ = assert_coarsen_matches_oracle(m, u, psi, opts2d())
         assert n > 0
         corners = {(-1, -1), (1, -1), (1, 1), (-1, 1)}
         assert corners <= {tuple(np.round(p, 9)) for p in m2.nodes}
@@ -325,14 +365,13 @@ class TestCoarsenAgainstOracle:
         c, q1, q2, y, top = (node(-1, -1), node(-0.75, -1), node(-1, -0.75),
                              node(0, 0.75), node(0, 1))
         nodes[q1], nodes[q2], nodes[y] = [-0.85, -1], [-1, -0.845], [0, 0.89]
-        m = ac.SimplicialMesh(2, nodes, m.elements, m.boundary_facets,
-                              m.facet_segments, m.boundary_node_flags, m.box)
+        m = ac.SimplicialMesh(2, nodes, m.elements, m.box)
         psi = uniform_metric(m, 16.0 * np.eye(2))
         opts = opts2d()
         lens = metric.edge_lengths(m.nodes, psi.tensors, mesh_module.unique_edges(m.elements))
         assert (lens < opts.l_low).sum() == 3
         attempts = count_calls(monkeypatch, adapt._Editor, "attempt")
-        _, n = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        _, n, _ = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
         assert n == 3
         assert [args[1:] for args in attempts] == [(y, top), (c, q1), (c, q2), (c, q2)]
 
@@ -346,9 +385,9 @@ class TestCoarsenKernelCalls:
         psi = uniform_metric(m, 320.0 * np.eye(2))
         opts = opts2d()
         calls = count_calls(monkeypatch, adapt, "quality")
-        (_, _, _, n_ref), reached = coarsen_oracle(m, u, psi, opts)
+        (_, _, _, n_ref), log = coarsen_oracle(m, u, psi, opts)
         oracle_calls = len(calls)
-        assert len(reached) >= 1000
+        assert len(log.reached) >= 1000
         del calls[:]
         assert adapt.coarsen_pass(m, u, psi, opts)[3] == n_ref
         assert 3 * len(calls) < oracle_calls
@@ -544,8 +583,7 @@ class TestMovePass:
                       if np.allclose(m.nodes[i], (0, 0)))
         nodes = m.nodes.copy()
         nodes[center] += (0.08, 0.05)
-        pert = ac.SimplicialMesh(2, nodes, m.elements, m.boundary_facets,
-                                 m.facet_segments, m.boundary_node_flags, m.box)
+        pert = ac.SimplicialMesh(2, nodes, m.elements, m.box)
         psi = uniform_metric(pert, np.eye(2))
         u = np.zeros(m.num_nodes)
         m2, _, _, _ = adapt.move_pass(pert, u, psi, opts2d())
@@ -560,8 +598,7 @@ class TestMovePass:
         interior = [i for i in range(m.num_nodes)
                     if not m.boundary_node_flags[i]]
         nodes[interior] += rng.uniform(-0.05, 0.05, (len(interior), 2))
-        pert = ac.SimplicialMesh(2, nodes, m.elements, m.boundary_facets,
-                                 m.facet_segments, m.boundary_node_flags, m.box)
+        pert = ac.SimplicialMesh(2, nodes, m.elements, m.box)
         psi = uniform_metric(pert, np.eye(2))
         u = nodes[:, 0] ** 2
         m2, _, _, _ = adapt.move_pass(pert, u, psi, opts2d())
@@ -576,8 +613,7 @@ def perturbed(mesh, amplitude, seed):
     nodes = mesh.nodes.copy()
     interior = [i for i in range(mesh.num_nodes) if not mesh.boundary_node_flags[i]]
     nodes[interior] += rng.uniform(-amplitude, amplitude, (len(interior), mesh.dim))
-    return ac.SimplicialMesh(mesh.dim, nodes, mesh.elements, mesh.boundary_facets,
-                             mesh.facet_segments, mesh.boundary_node_flags, mesh.box)
+    return ac.SimplicialMesh(mesh.dim, nodes, mesh.elements, mesh.box)
 
 
 def graded_metric(mesh):
@@ -651,12 +687,8 @@ class TestSwapPass:
         # two triangles on the long diagonal of a kite
         nodes = np.array([[0.0, 0.0], [1.0, -0.2], [2.0, 0.0], [1.0, 1.0]])
         elements = np.array([[0, 1, 2], [0, 2, 3]])
-        facets = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
-        segs = np.array([1, 1, 3, 3])
-        flags = [frozenset({1, 3}), frozenset({1}), frozenset({1, 3}),
-                 frozenset({3})]
         box = np.array([[0.0, 2.0], [-0.2, 1.0]])
-        return ac.SimplicialMesh(2, nodes, elements, facets, segs, flags, box)
+        return ac.SimplicialMesh(2, nodes, elements, box)
 
     def test_flip_improves_kite(self):
         m = self.kite()
@@ -678,13 +710,10 @@ class TestSwapPass:
     def test_nonconvex_pair_rejected(self):
         nodes = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.2], [1.0, 1.0]])
         elements = np.array([[0, 1, 2], [0, 2, 3]])  # edge (0,2) not flippable
-        facets = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
-        segs = np.array([1, 1, 1, 1])
-        flags = [frozenset({1})] * 4
         box = np.array([[0.0, 2.0], [0.0, 1.0]])
-        m = ac.SimplicialMesh(2, nodes, elements, facets, segs, flags, box)
-        # note: this mesh has boundary facets that match its hull only loosely;
-        # the flip guard is what we exercise here
+        m = ac.SimplicialMesh(2, nodes, elements, box)
+        # note: this mesh's boundary is not on the box faces; the flip guard
+        # is what we exercise here
         psi = uniform_metric(m, np.eye(2))
         m2, _, _, n = adapt.swap_pass(m, np.zeros(4), psi,
                                       opts2d())
@@ -698,8 +727,7 @@ class TestSwapPass:
         interior = [i for i in range(m.num_nodes)
                     if not m.boundary_node_flags[i]]
         nodes[interior] += rng.uniform(-0.06, 0.06, (len(interior), 3))
-        pert = ac.SimplicialMesh(3, nodes, m.elements, m.boundary_facets,
-                                 m.facet_segments, m.boundary_node_flags, m.box)
+        pert = ac.SimplicialMesh(3, nodes, m.elements, m.box)
         psi = uniform_metric(pert, np.eye(3))
         m2, _, _, n = adapt.swap_pass(pert, np.zeros(m.num_nodes), psi,
                                       ac.AdaptOptions.for_dim(3))

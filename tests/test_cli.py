@@ -285,6 +285,16 @@ class TestAdaptCommand:
         assert not (tmp_path / "missing_adapted.txt").exists()
         assert not (tmp_path / "field_adapted.txt").exists()
 
+    def test_invalid_mesh_no_outputs(self, tmp_path):
+        mpath, fpath = self.write_inputs(tmp_path, n=5)
+        mesh = meshio.read_mesh_text(mpath)
+        nodes = mesh.nodes.copy()
+        nodes[1, 1] += 0.25                 # a bottom node off its face
+        meshio.write_mesh_text(mpath, ac.SimplicialMesh(2, nodes, mesh.elements,
+                                                        mesh.box))
+        assert cli.main(["adapt", str(mpath), str(fpath)]) == 2
+        assert not (tmp_path / "mesh_adapted.txt").exists()
+
     def test_budget_flags(self, tmp_path):
         mpath, fpath = self.write_inputs(tmp_path, n=25)
         rc = cli.main(["adapt", str(mpath), str(fpath), "--npb", "200",
@@ -353,9 +363,7 @@ class TestValidateCommand:
         mesh = ac.build_rect_mesh(1, 1, 5, 5)
         elements = mesh.elements.copy()
         elements[0] = elements[0][[1, 0, 2]]
-        bad = ac.SimplicialMesh(2, mesh.nodes, elements, mesh.boundary_facets,
-                                mesh.facet_segments, mesh.boundary_node_flags,
-                                mesh.box)
+        bad = ac.SimplicialMesh(2, mesh.nodes, elements, mesh.box)
         path = tmp_path / "m.txt"
         meshio.write_mesh_text(path, bad)
         assert cli.main(["validate", str(path)]) == 1

@@ -10,10 +10,7 @@ from conftest import cos_problem, spot_problem_2d
 def unit_right_triangle_mesh():
     return ac.SimplicialMesh(
         2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        np.array([[0, 1, 2]]),
-        np.array([[0, 1], [0, 2], [1, 2]]), np.array([1, 4, 2]),
-        [frozenset({1, 4}), frozenset({1, 2}), frozenset({2, 4})],
-        np.array([[0.0, 1.0], [0.0, 1.0]]))
+        np.array([[0, 1, 2]]), np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
 class TestStiffness:
@@ -37,8 +34,7 @@ class TestStiffness:
         m = square_mesh
         elements = m.elements.copy()
         elements[3] = elements[3][[1, 0, 2]]
-        bad = ac.SimplicialMesh(2, m.nodes, elements, m.boundary_facets,
-                                m.facet_segments, m.boundary_node_flags, m.box)
+        bad = ac.SimplicialMesh(2, m.nodes, elements, m.box)
         with pytest.raises(RuntimeError):
             ac.assemble_stiffness(bad, 1.0)
 

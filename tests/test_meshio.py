@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import anisocont as ac
-from anisocont import adapt, meshio
+from anisocont import adapt, cli, meshio
 from anisocont.metric import MetricField
 
 _FMT = "%.17g"
@@ -95,9 +95,7 @@ def test_block_writers_match_row_oracle(tmp_path, refined):
 
 def test_block_writers_on_empty_blocks(tmp_path):
     m = ac.build_rect_mesh(1.0, 1.0, 2, 2)
-    empty = ac.SimplicialMesh(2, m.nodes, np.zeros((0, 3), dtype=np.int64),
-                              np.zeros((0, 2), dtype=np.int64),
-                              np.zeros(0, dtype=np.int64), [frozenset()] * 4, m.box)
+    empty = ac.SimplicialMesh(2, m.nodes, np.zeros((0, 3), dtype=np.int64), m.box)
     for new, old, args in ((meshio.write_mesh_text, write_mesh_text_oracle, (empty,)),
                            (meshio.write_vtk, write_vtk_oracle, (empty,)),
                            (meshio.write_field_text, write_field_text_oracle,
@@ -118,6 +116,23 @@ def test_mesh_text_roundtrip(tmp_path, rect_mesh):
     assert np.array_equal(back.facet_segments, rect_mesh.facet_segments)
     assert back.boundary_node_flags == rect_mesh.boundary_node_flags
     assert ac.validate(back).ok
+
+
+@pytest.mark.parametrize("edit", ["dropped_facet", "changed_segment"])
+def test_facet_table_must_be_the_derived_boundary(tmp_path, edit):
+    path = tmp_path / "mesh.txt"
+    meshio.write_mesh_text(path, ac.build_rect_mesh(1, 1, 3, 3))
+    lines = path.read_text().splitlines()
+    at = lines.index("facets 8")
+    if edit == "dropped_facet":
+        lines[at:at + 2] = ["facets 7"]
+    else:
+        row = lines[at + 1].split()
+        lines[at + 1] = " ".join(row[:-1] + ["3"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: facet table"):
+        meshio.read_mesh_text(path)
+    assert cli.main(["validate", str(path)]) == 2
 
 
 def test_mesh_text_roundtrip_3d(tmp_path, box_mesh):
