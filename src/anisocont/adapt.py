@@ -7,7 +7,9 @@ below the upper threshold. `two_step_adapt` optionally coarsens to a node
 budget first and then adapts with refinement enabled. Refine, move and swap
 work on whole arrays. Coarsen commits one collapse at a time on `_Editor`'s
 node-to-element maps, since each collapse decides which edges the next ones
-see, but plans and scores its attempts in windows. Every pass returns nodes,
+see, but plans and scores its attempts in windows. Collapses and swaps look
+up no existing element, face or edge: on a valid mesh the orientation test
+rejects every candidate such a lookup would. Every pass returns nodes,
 elements and box; the mesh derives its boundary from them.
 """
 from __future__ import annotations
@@ -163,7 +165,10 @@ class _Editor:
     """Mutable topology scratchpad for the collapses of one coarsen pass.
 
     A collapse only removes nodes and elements, so the node arrays keep the
-    input mesh's size and removed nodes are masked out by `alive`.
+    input mesh's size and removed nodes are masked out by `alive`. It keeps
+    node -> element sets only: collapsing r into s rewires (r, X) to (s, X),
+    which can only duplicate an element across facet X from (r, X), so it is
+    then inverted and scores 0.
     """
 
     def __init__(self, mesh, u, psi, qual_p):
@@ -176,10 +181,8 @@ class _Editor:
         self.n_alive_nodes = n
         self.flags = mesh.boundary_node_flags
         self.elems = list(map(tuple, mesh.elements.tolist()))
-        self.elem_key = {}
         self.node2el = [set() for _ in range(n)]
         for e, nodes in enumerate(self.elems):
-            self.elem_key[tuple(sorted(nodes))] = e
             for v in nodes:
                 self.node2el[v].add(e)
         # combined quality per element; coords and tensors never change in a
@@ -211,7 +214,7 @@ class _Editor:
         """Per plan list in `attempts`, the qualities of its plans' rewired
         rows in order, all from one kernel call (none for no rows)."""
         rows = np.fromiter(chain.from_iterable(
-            nodes for plans in attempts for plan in plans for _, nodes, _ in plan[3]),
+            nodes for plans in attempts for plan in plans for _, nodes in plan[3]),
             dtype=np.int64)
         q = iter(quality(self.coords, self.tensors, rows, self.qual_p).tolist()
                  if rows.size else ())
@@ -246,15 +249,8 @@ class _Editor:
         dying = self.node2el[s] & self.node2el[r]
         if not dying:
             return None
-        new_elems = []
-        plan_keys = set()
-        for e in sorted(self.node2el[r] - dying):
-            nodes = tuple(s if v == r else v for v in self.elems[e])
-            key = tuple(sorted(nodes))
-            if key in self.elem_key or key in plan_keys:
-                return None                 # would duplicate an element
-            plan_keys.add(key)
-            new_elems.append((e, nodes, key))
+        new_elems = [(e, tuple(s if v == r else v for v in self.elems[e]))
+                     for e in sorted(self.node2el[r] - dying)]
         # no vertex of a dying element may lose its last element
         if any(self.node2el[v] <= dying
                for e in dying for v in self.elems[e] if v != r):
@@ -264,14 +260,11 @@ class _Editor:
     def _commit_collapse(self, plan, q_new):
         s, r, dying, new_elems = plan
         for e in dying:
-            del self.elem_key[tuple(sorted(self.elems[e]))]
             for v in self.elems[e]:
                 self.node2el[v].discard(e)
             self.elems[e] = None
-        for (e, nodes, key), q in zip(new_elems, q_new):
-            del self.elem_key[tuple(sorted(self.elems[e]))]
+        for (e, nodes), q in zip(new_elems, q_new):
             self.elems[e] = nodes
-            self.elem_key[key] = e
             self.node2el[r].discard(e)
             self.node2el[s].add(e)
             self.elem_q[e] = q
@@ -595,9 +588,9 @@ def _swap_sweep_2d(coords, tensors, elems, elem_q, qual_p):
     a, b = edges[inner].T
     t1, t2 = np.column_stack([c, dd, a]), np.column_stack([c, dd, b])
     va, vb = signed_volumes(coords, t1), signed_volumes(coords, t2)
-    new_edge = _edge_keys(c, dd, n)
-    ok = (c != dd) & ~np.isin(new_edge, _facet_keys(edges, n))
-    ok &= va * vb < 0.0                  # quad strictly convex
+    # the quad must be strictly convex; then an existing edge c-dd would
+    # cross edge a-b, and c == dd gives va = 0, so no edge lookup is needed
+    ok = va * vb < 0.0
     t1, t2 = _oriented(t1, va)[ok], _oriented(t2, vb)[ok]
     e1, e2 = e1[ok], e2[ok]
     q = quality(coords, tensors, np.vstack([t1, t2]), qual_p).reshape(2, -1)
@@ -617,7 +610,8 @@ def _swap_sweep_3d(coords, tensors, elems, elem_q, qual_p):
     faces, elem_faces, face_counts = facet_topology(elems, n)
     edges, elem_edges, edge_counts = sub_simplices(elems, n, _pairs(4))
     # 2-3: per interior face (f0, f1, f2), in key order, its tets e1 < e2
-    # and their apexes p, q; p-q must be a new edge that pierces the face
+    # and their apexes p, q; p-q must pierce the face (the new volumes share
+    # a sign), which no existing edge can, and p == q gives zero volumes
     slots, inner = _slots_by_count(elem_faces.ravel(), face_counts, 2)
     old23 = slots // 4
     p, q = elems.ravel()[slots].T
@@ -626,13 +620,12 @@ def _swap_sweep_3d(coords, tensors, elems, elem_q, qual_p):
                        np.column_stack([p, f1, f2, q]),
                        np.column_stack([p, f2, f0, q])], axis=1)
     vols = signed_volumes(coords, tets23.reshape(-1, 4)).reshape(-1, 3)
-    new_edge = _edge_keys(p, q, n)
-    ok = ((p != q) & ~np.isin(new_edge, _facet_keys(edges, n))
-          & (np.all(vols > 0.0, axis=1) | np.all(vols < 0.0, axis=1)))
+    ok = np.all(vols > 0.0, axis=1) | np.all(vols < 0.0, axis=1)
     old23, tets23 = old23[ok], _oriented(tets23[ok], vols[ok])
     # 3-2: per edge (e0, e1) in exactly three tets, in key order, whose
-    # other vertices close a ring a < b < c; the new face abc must not
-    # exist yet and must separate e0 from e1
+    # other vertices close a ring a < b < c (a vertex appears at most once
+    # per tet, so closure orders the sorted pairs); the new face abc must
+    # separate e0 from e1, so e0-e1 pierces it and it cannot exist yet
     slots, ring = _slots_by_count(elem_edges.ravel(), edge_counts, 3)
     old32 = slots // 6
     e0, e1 = edges[ring].T
@@ -641,9 +634,7 @@ def _swap_sweep_3d(coords, tensors, elems, elem_q, qual_p):
     a, b, c = others[:, 0::2].T
     v0 = signed_volumes(coords, np.column_stack([a, b, c, e0]))
     v1 = signed_volumes(coords, np.column_stack([a, b, c, e1]))
-    ok = (np.all(others[:, 0::2] == others[:, 1::2], axis=1) & (a < b) & (b < c)
-          & ~np.isin(_facet_keys(others[:, 0::2], n), _facet_keys(faces, n))
-          & (v0 * v1 < 0.0))
+    ok = np.all(others[:, 0::2] == others[:, 1::2], axis=1) & (v0 * v1 < 0.0)
     tets32 = np.stack([_oriented(np.column_stack([a, b, c, e0]), v0),
                        _oriented(np.column_stack([a, b, c, e1]), v1)], axis=1)
     old32, tets32 = old32[ok], tets32[ok]

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import meshio
-from .adapt import AdaptOptions, CoarsenOptions, tradapt, two_step_adapt
+from .adapt import AdaptOptions, CoarsenOptions, two_step_adapt
 from .config import ConfigError, load_config
 from .mesh import validate
 from .continuation import (BPEvent, ContinuationState, branch_csv_header,
@@ -119,21 +119,20 @@ def cmd_adapt(args):
         return 2
     eta_policy = (EtaPolicy.linear_in_np(args.eta_np) if args.eta_np
                   else EtaPolicy.constant(args.eta))
-    trop = AdaptOptions.for_dim(mesh.dim, eta_policy=eta_policy, sw=args.sw,
-                                l_low=args.llow, l_up=args.lup,
-                                innerit=args.innerit)
-    if args.npb > 0:
+    try:
+        trop = AdaptOptions.for_dim(mesh.dim, eta_policy=eta_policy, sw=args.sw,
+                                    l_low=args.llow, l_up=args.lup,
+                                    innerit=args.innerit)
         trcop = CoarsenOptions.from_trop(trop, npb=args.npb, crmax=args.crmax)
-        mesh2, u2, stats = two_step_adapt(mesh, u, trop, trcop)
-        lines = stats.to_lines()
-    else:
-        mesh2, u2, stats = tradapt(mesh, u, trop)
-        lines = stats.to_lines()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    mesh2, u2, stats = two_step_adapt(mesh, u, trop, trcop)
     out_mesh = args.out_mesh or _default_out(args.mesh)
     out_field = args.out_field or _default_out(args.values)
     meshio.write_mesh_text(out_mesh, mesh2)
     meshio.write_field_text(out_field, u2)
-    for line in lines:
+    for line in stats.to_lines():
         print(line)
     print(f"wrote {out_mesh} and {out_field}")
     return 0

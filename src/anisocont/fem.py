@@ -135,15 +135,6 @@ def assemble_mass(mesh):
     return M.tocsr()
 
 
-def lumped_mass(mesh):
-    """Row-sum lumped mass vector."""
-    vols = _check_volumes(mesh)
-    m = np.zeros(mesh.num_nodes)
-    np.add.at(m, mesh.elements.ravel(),
-              np.repeat(vols / (mesh.dim + 1), mesh.dim + 1))
-    return m
-
-
 def boundary_profile_values(profile, points, aux, dim=2):
     """A Dirichlet boundary profile at the rows of `points`.
 

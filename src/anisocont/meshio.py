@@ -63,7 +63,7 @@ def read_mesh_text(path):
     nodes = np.array([[float(v) for v in take().split()] for _ in range(n_nodes)])
     n_elems = int(take().split()[1])
     elements = np.array([[int(v) for v in take().split()] for _ in range(n_elems)],
-                        dtype=np.int64)
+                        dtype=np.int64).reshape(n_elems, dim + 1)
     n_facets = int(take().split()[1])
     table = np.array([[int(v) for v in take().split()] for _ in range(n_facets)],
                      dtype=np.int64).reshape(n_facets, dim + 1)

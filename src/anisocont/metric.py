@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import lumped_mass, p1_element_gradients
+from .fem import p1_element_gradients
 from .mesh import signed_volumes
 
 
@@ -88,16 +88,20 @@ def recover_hessian(mesh, z):
     if np.any(vols <= 0):
         raise RuntimeError("degenerate element in Hessian recovery")
     grads = p1_element_gradients(mesh)            # (ne, d+1, d)
-    mlumped = lumped_mass(mesh)
+    share = vols / (d + 1)
+
+    def scatter(per_elem):
+        # per node, the sum of `per_elem` over its elements in element order
+        return np.bincount(mesh.elements.ravel(), np.repeat(per_elem, d + 1),
+                           mesh.num_nodes)
+
+    mlumped = scatter(share)
 
     def project(values):
         # values: nodal field -> lumped L2 projection of its elementwise gradient
         elem_grad = np.einsum("ev,evd->ed", values[mesh.elements], grads)
-        contrib = (vols / (d + 1))[:, None] * elem_grad
-        out = np.zeros((mesh.num_nodes, d))
-        np.add.at(out, mesh.elements.ravel(),
-                  np.repeat(contrib, d + 1, axis=0))
-        return out / mlumped[:, None]
+        grad = np.column_stack([scatter(share * g) for g in elem_grad.T])
+        return grad / mlumped[:, None]
 
     g = project(z)                                 # (n, d) nodal gradient
     H = np.empty((mesh.num_nodes, d, d))

@@ -185,17 +185,20 @@ def coarsen_oracle(mesh, u, psi, opts):
     It also tracks the boundary facets through each committed collapse of r
     into s, on a dict of its own: a facet through r dies if it holds s too,
     and moves onto s otherwise. A plan that would move a facet onto another
-    boundary facet is counted; none may be committed. Returns the pass's
+    boundary facet is counted; none may be committed. It keeps the sorted
+    element keys too: a plan whose rewired rows would duplicate an element
+    is counted, must score <= 0 and is never committed. Returns the pass's
     result and a log: the edges reached with both endpoints alive, the
     tracked boundary (sorted rows in the result's node ids, in order, and
-    their segment ids) and the number of such plans."""
+    their segment ids) and the numbers of such plans."""
     edges = mesh_module.unique_edges(mesh.elements)
     lens = metric.edge_lengths(mesh.nodes, psi.tensors, edges)
     npb = int(getattr(opts, "npb", 0))
     ed = adapt._Editor(mesh, u, psi, opts.qual_p)
     facets = {tuple(f): s for f, s in zip(mesh.boundary_facets.tolist(),
                                           mesh.facet_segments.tolist())}
-    log = SimpleNamespace(reached=[], merging_plans=0)
+    elem_keys = {tuple(sorted(e)) for e in ed.elems}
+    log = SimpleNamespace(reached=[], merging_plans=0, duplicating_plans=0)
 
     def facet_moves(plan):
         """The (old, new) keys of the facets `plan` moves onto s, and
@@ -205,6 +208,11 @@ def coarsen_oracle(mesh, u, psi, opts):
                  for key in facets if r in key and s not in key]
         new = [key for _, key in moves]
         return moves, len(set(new)) < len(new) or any(key in facets for key in new)
+
+    def duplicates(plan):
+        """Whether a rewired row of `plan` repeats an element or another row."""
+        new = [tuple(sorted(nodes)) for _, nodes in plan[3]]
+        return len(set(new)) < len(new) or any(key in elem_keys for key in new)
 
     def try_collapse(a, b):
         fa, fb = ed.flags[a], ed.flags[b]
@@ -218,7 +226,7 @@ def coarsen_oracle(mesh, u, psi, opts):
         log.merging_plans += sum(facet_moves(plan)[1] for plan in plans)
         if not plans:
             return False
-        rows = [nodes for plan in plans for _, nodes, _ in plan[3]]
+        rows = [nodes for plan in plans for _, nodes in plan[3]]
         q = adapt.quality(ed.coords, ed.tensors, rows, ed.qual_p).tolist()
         touched = ed.node2el[a] | ed.node2el[b]
         thresh = adapt._QUALITY_FLOOR_FACTOR * min(ed.elem_q[e] for e in touched)
@@ -228,6 +236,9 @@ def coarsen_oracle(mesh, u, psi, opts):
             q_plan = q[k:k + len(plan[3])]
             k += len(q_plan)
             min_q = min(q_plan, default=np.inf)
+            if duplicates(plan):
+                log.duplicating_plans += 1
+                assert min_q <= 0.0, plan[:2]
             if min_q <= 0.0 or min_q < thresh:
                 continue
             if best is None or min_q > best[0]:
@@ -235,10 +246,13 @@ def coarsen_oracle(mesh, u, psi, opts):
         if best is None:
             return False
         moves, merges = facet_moves(best[1])
-        assert not merges, best[1][:2]
+        assert not merges and not duplicates(best[1]), best[1][:2]
+        s, r, dying, new_elems = best[1]
+        for e in [*dying, *(e for e, _ in new_elems)]:
+            elem_keys.remove(tuple(sorted(ed.elems[e])))
+        elem_keys.update(tuple(sorted(nodes)) for _, nodes in new_elems)
         for old, new in moves:
             facets[new] = facets.pop(old)
-        r = best[1][1]
         for key in [key for key in facets if r in key]:     # through s too
             del facets[key]
         ed._commit_collapse(*best[1:])
@@ -319,14 +333,16 @@ class TestCoarsenAgainstOracle:
 
     def test_budget_box_rejects_facet_merging_plans(self):
         # coarsened far below the box's grid, the pass plans collapses that
-        # would land a boundary facet on another one; the oracle counts
-        # them and checks that none is committed
+        # would land a boundary facet on another one or duplicate an
+        # element; the oracle counts them and checks that the quality test
+        # rejects them all
         m = perturbed(ac.build_box_mesh(1, 1, 1, 7, 7, 7), 0.04, seed=2)
         psi = sheared_metric(m, [1.0, 6.0, 3.0])
         opts = ac.CoarsenOptions.from_trop(ac.AdaptOptions.for_dim(3), npb=60)
         _, n, log = assert_coarsen_matches_oracle(m, m.nodes[:, 0].copy(), psi, opts)
         assert n > 200
         assert log.merging_plans >= 1
+        assert log.duplicating_plans >= 1
 
     @pytest.mark.parametrize("cut", [5, 20, 40])
     def test_budget_stops_inside_a_window(self, cut, monkeypatch):
@@ -682,6 +698,54 @@ class TestBatchedMovePass:
         assert np.array_equal(psi3.tensors, psi2.tensors)
 
 
+def flip_lookups(mesh):
+    """Per interior edge of a 2D mesh, in the order `_swap_sweep_2d` sees
+    them: whether a topology lookup rejects its flip (the new diagonal c-dd
+    is an existing edge, or c == dd), and whether the orientation test
+    passes it (the quad is strictly convex)."""
+    n, elems, coords = mesh.num_nodes, mesh.elements, mesh.nodes
+    edges, elem_edges, counts = mesh_module.facet_topology(elems, n)
+    slots, inner = mesh_module._slots_by_count(elem_edges.ravel(), counts, 2)
+    c, dd = elems.ravel()[slots].T
+    a, b = edges[inner].T
+    va = mesh_module.signed_volumes(coords, np.column_stack([c, dd, a]))
+    vb = mesh_module.signed_volumes(coords, np.column_stack([c, dd, b]))
+    lookup = (c == dd) | np.isin(adapt._edge_keys(c, dd, n),
+                                 mesh_module._facet_keys(edges, n))
+    return lookup, va * vb < 0.0
+
+
+def swap_lookups_3d(mesh):
+    """The same for the 2-3 and 3-2 candidates of `_swap_sweep_3d`: a 2-3
+    swap is rejected by a lookup if p-q is an existing edge or p == q, and
+    passes the orientation test if its three volumes share a sign; a 3-2
+    swap around a closed ring a, b, c is rejected if not a < b < c or if
+    face abc exists, and passes if abc separates the edge's ends."""
+    n, elems, coords = mesh.num_nodes, mesh.elements, mesh.nodes
+    keys = mesh_module._facet_keys
+    faces, elem_faces, face_counts = mesh_module.facet_topology(elems, n)
+    edges, elem_edges, edge_counts = mesh_module.sub_simplices(elems, n,
+                                                               mesh_module._pairs(4))
+    slots, inner = mesh_module._slots_by_count(elem_faces.ravel(), face_counts, 2)
+    p, q = elems.ravel()[slots].T
+    f0, f1, f2 = faces[inner].T
+    tets = np.stack([np.column_stack([p, f0, f1, q]), np.column_stack([p, f1, f2, q]),
+                     np.column_stack([p, f2, f0, q])], axis=1)
+    vols = mesh_module.signed_volumes(coords, tets.reshape(-1, 4)).reshape(-1, 3)
+    lookup23 = (p == q) | np.isin(adapt._edge_keys(p, q, n), keys(edges, n))
+    pierces = np.all(vols > 0.0, axis=1) | np.all(vols < 0.0, axis=1)
+    slots, ring = mesh_module._slots_by_count(elem_edges.ravel(), edge_counts, 3)
+    e0, e1 = edges[ring].T
+    others = np.sort(elems[slots // 6].reshape(-1, 12), axis=1)
+    others = others[(others != e0[:, None]) & (others != e1[:, None])].reshape(-1, 6)
+    a, b, c = others[:, 0::2].T
+    closed = np.all(others[:, 0::2] == others[:, 1::2], axis=1)
+    v0 = mesh_module.signed_volumes(coords, np.column_stack([a, b, c, e0]))
+    v1 = mesh_module.signed_volumes(coords, np.column_stack([a, b, c, e1]))
+    lookup32 = ~((a < b) & (b < c)) | np.isin(keys(others[:, 0::2], n), keys(faces, n))
+    return (lookup23, pierces), (lookup32[closed], (v0 * v1 < 0.0)[closed])
+
+
 class TestSwapPass:
     def kite(self):
         # two triangles on the long diagonal of a kite
@@ -747,6 +811,21 @@ class TestSwapPass:
         q_before = ac.quality(m.nodes, psi.tensors, m.elements, opts.qual_p)
         q_after = ac.quality(m2.nodes, psi.tensors, m2.elements, opts.qual_p)
         assert q_after.min() >= q_before.min()
+
+    def test_orientation_rejects_what_the_lookups_reject(self):
+        # the sweeps look up no existing edge or face: on these meshes the
+        # lookups reject candidates, and the orientation test rejects each
+        m = ac.build_rect_mesh(2, 2, 15, 15)
+        m2, _, _ = ac.tradapt(m, np.tanh(5 * (m.nodes[:, 0] - 0.5)), opts2d())
+        box = perturbed(ac.build_box_mesh(1, 1, 1, 7, 7, 7), 0.04, seed=2)
+        opts = ac.CoarsenOptions.from_trop(ac.AdaptOptions.for_dim(3), npb=60)
+        m3, _, _, _ = adapt.coarsen_pass(box, box.nodes[:, 0].copy(),
+                                         sheared_metric(box, [1.0, 6.0, 3.0]), opts)
+        assert ac.validate(m2).ok and ac.validate(m3).ok
+        flips, (swaps_23, swaps_32) = flip_lookups(m2), swap_lookups_3d(m3)
+        for lookup, passes in (flips, swaps_23, swaps_32):
+            assert not (lookup & passes).any()
+        assert flips[0].any() and swaps_23[0].any()
 
 
 class TestTradapt:

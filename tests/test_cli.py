@@ -304,6 +304,24 @@ class TestAdaptCommand:
         assert rc == 0
         assert (tmp_path / "b.txt").exists()
 
+    def test_without_budget_prints_the_plain_adaptation(self, tmp_path, capsys):
+        mpath, fpath = self.write_inputs(tmp_path, n=9)
+        assert cli.main(["adapt", str(mpath), str(fpath), "--innerit", "1"]) == 0
+        mesh, u = meshio.read_mesh_text(mpath), meshio.read_field_text(fpath)
+        opts = ac.AdaptOptions.for_dim(2, eta_policy=ac.EtaPolicy.constant(1e-3),
+                                       innerit=1)
+        _, _, stats = ac.tradapt(mesh, u, opts)
+        assert capsys.readouterr().out.splitlines()[:-1] == stats.to_lines()
+
+    @pytest.mark.parametrize("flags", [["--llow", "2"], ["--sw", "99"],
+                                       ["--npb", "5", "--crmax", "-1"], ["--npb", "-3"]])
+    def test_bad_options_exit_2_without_outputs(self, tmp_path, capsys, flags):
+        mpath, fpath = self.write_inputs(tmp_path, n=5)
+        assert cli.main(["adapt", str(mpath), str(fpath), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "mesh_adapted.txt").exists()
+        assert not (tmp_path / "field_adapted.txt").exists()
+
 
 class TestPlotCommand:
     def write_csv(self, tmp_path, rows):

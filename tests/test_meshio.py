@@ -105,6 +105,18 @@ def test_block_writers_on_empty_blocks(tmp_path):
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
+def test_mesh_text_roundtrip_without_elements(tmp_path, capsys):
+    m = ac.build_rect_mesh(1.0, 1.0, 3, 3)
+    path = tmp_path / "mesh.txt"
+    meshio.write_mesh_text(path, ac.SimplicialMesh(2, m.nodes,
+                                                   np.zeros((0, 3), dtype=np.int64), m.box))
+    back = meshio.read_mesh_text(path)
+    assert back.elements.shape == (0, 3) and back.boundary_facets.shape == (0, 2)
+    assert np.array_equal(back.nodes, m.nodes)
+    assert cli.main(["validate", str(path)]) == 1
+    assert "orphans=9" in capsys.readouterr().out
+
+
 def test_mesh_text_roundtrip(tmp_path, rect_mesh):
     path = tmp_path / "mesh.txt"
     meshio.write_mesh_text(path, rect_mesh)
