@@ -4,13 +4,13 @@ The passes are selected by the 4-bit `sw` mask (bit 1 move, bit 2 refine,
 bit 4 coarsen, bit 8 swap) and chained by `tradapt`, which recomputes the
 metric between inner iterations and stops once the longest metric edge drops
 below the upper threshold. `two_step_adapt` optionally coarsens to a node
-budget first and then adapts with refinement enabled. Refine, move and swap
-work on whole arrays. Coarsen commits one collapse at a time on `_Editor`'s
-node-to-element maps, since each collapse decides which edges the next ones
-see, but plans and scores its attempts in windows. Collapses and swaps look
-up no existing element, face or edge: on a valid mesh the orientation test
-rejects every candidate such a lookup would. Every pass returns nodes,
-elements and box; the mesh derives its boundary from them.
+budget first and then adapts with refinement enabled. Every pass works on
+whole arrays. Coarsening tries its collapses shortest first, and each one
+decides which edges the next ones see, so its rounds commit exactly what
+trying them one at a time would. Collapses and swaps look up no existing
+element, face or edge: on a valid mesh the orientation test rejects every
+candidate such a lookup would. Every pass returns nodes, elements and box;
+the mesh derives its boundary from them.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from functools import reduce
 
 import numpy as np
 
@@ -38,9 +38,10 @@ _SWAP_SWEEPS = 8
 # pre-operation worst combined quality
 _QUALITY_FLOOR_FACTOR = 0.1
 _MOVE_DAMPING = 0.5
-# bounds of the adaptive number of collapse attempts a coarsen window plans
-# and scores in one quality call
-_WINDOW_MIN, _WINDOW_MAX = 1, 64
+# bounds of the number of pending collapse attempts a coarsen round takes;
+# it doubles after a round that decides at least half of them, else halves
+_ROUND_MIN, _ROUND_MAX = 32, 256
+_FREE = np.iinfo(np.int64).max         # an unreserved element or node
 
 
 class AdaptationError(RuntimeError):
@@ -161,125 +162,131 @@ class TwoStepStats:
         return lines
 
 
-class _Editor:
-    """Mutable topology scratchpad for the collapses of one coarsen pass.
+class _CollapseRounds:
+    """Array state of one coarsen pass, whose collapses are decided in rounds.
 
-    A collapse only removes nodes and elements, so the node arrays keep the
-    input mesh's size and removed nodes are masked out by `alive`. It keeps
-    node -> element sets only: collapsing r into s rewires (r, X) to (s, X),
-    which can only duplicate an element across facet X from (r, X), so it is
-    then inverted and scores 0.
+    Node and element ids stay those of the input: dying rows are marked
+    dead, rewired rows are written in place. `n2e[v, :deg[v]]` lists the
+    live elements of node v, padded with -1. Node n and element ne are
+    sentinels, so index -1 reads a node of no element or a dead element.
     """
 
-    def __init__(self, mesh, u, psi, qual_p):
-        n = mesh.num_nodes
-        self.mesh, self.qual_p = mesh, qual_p
-        self.coords = mesh.nodes
-        self.u = np.asarray(u, dtype=float)
-        self.tensors = psi.tensors
-        self.alive = [True] * n
-        self.n_alive_nodes = n
-        self.flags = mesh.boundary_node_flags
-        self.elems = list(map(tuple, mesh.elements.tolist()))
-        self.node2el = [set() for _ in range(n)]
-        for e, nodes in enumerate(self.elems):
-            for v in nodes:
-                self.node2el[v].add(e)
-        # combined quality per element; coords and tensors never change in a
-        # pass, so an entry changes only when a collapse rewires its element
-        self.elem_q = quality(mesh.nodes, psi.tensors, mesh.elements, qual_p).tolist()
+    def __init__(self, mesh, psi, qual_p):
+        n, (ne, nv) = mesh.num_nodes, mesh.elements.shape
+        self.coords, self.tensors, self.qual_p = mesh.nodes, psi.tensors, qual_p
+        self.elems = np.vstack([mesh.elements, np.full((1, nv), n)]).astype(np.int64)
+        self.dead, self.alive = np.arange(ne + 1) == ne, np.arange(n + 1) < n
+        self.elem_q = np.append(quality(mesh.nodes, psi.tensors, mesh.elements, qual_p),
+                                np.inf)
+        by_node = np.argsort(mesh.elements.ravel(), kind="stable")
+        node = mesh.elements.ravel()[by_node]
+        self.deg = np.bincount(node, minlength=n + 1)
+        self.n2e = np.full((n + 1, 2 * self.deg.max()), -1)
+        self.n2e[node, np.arange(len(node)) - (np.cumsum(self.deg) - self.deg)[node]] = (
+            by_node // nv)
+        # per element and node the lowest window rank reserving it, reset
+        # after each round
+        self.res_e, self.res_v = np.full(ne + 1, _FREE), np.full(n + 1, _FREE)
 
-    def attempt(self, a, b):
-        """What trying edge (a, b), both endpoints alive, reads and plans on
-        the current state: `({a, b}, [])` if the endpoints share no element,
-        else the vertices of both stars and a plan for each allowed
-        direction. The survivor must carry every segment flag of the removed
-        node, so boundary endpoints win over interior ones and corners never
-        vanish."""
-        star_a, star_b = self.node2el[a], self.node2el[b]
-        if star_a.isdisjoint(star_b):
-            return {a, b}, []
-        reads = {v for e in star_a | star_b for v in self.elems[e]}
-        fa, fb = self.flags[a], self.flags[b]
-        directions = []
-        if fb <= fa:
-            directions.append((a, b))       # keep a, remove b
-        if fa <= fb:
-            directions.append((b, a))
-        plans = [plan for plan in (self._plan_collapse(s, r) for s, r in directions)
-                 if plan is not None]
-        return reads, plans
+    def round(self, a, b, keep_a, keep_b, ready):
+        """Decide the attempts (a[k], b[k]) of a window, in the order they
+        would be tried one at a time, both endpoints alive; `keep_a` and
+        `keep_b` allow keeping a and keeping b, and only `ready` ones may be
+        decided. Returns the decided and the committed masks."""
+        m, nv = len(a), self.elems.shape[1]
+        rank = np.arange(m)
+        w = max(self.deg[a].max(), self.deg[b].max())
+        sa, sb = self.n2e[a, :w], self.n2e[b, :w]
+        ea = self.elems[sa]
+        shared = _holds(ea, b[:, None])                  # the dying elements
+        has = shared.any(axis=1)
+        # an attempt reads and writes the elements of both stars, and the
+        # element lists of its endpoints and of its dying elements' vertices
+        stars = np.hstack([sa, sb])
+        in_e = (stars >= 0) & has[:, None]
+        kd, jd = np.nonzero(shared)
+        kv, dv = np.repeat(kd, nv), ea[kd, jd].ravel()
+        # reserve each element and node for the lowest window rank naming
+        # it; an attempt that holds all of its own meets no earlier one
+        decided = ready.copy()
+        for res, ids, by in ((self.res_e, stars[in_e], np.nonzero(in_e)[0]),
+                             (self.res_v, np.concatenate([a, b, dv]),
+                              np.concatenate([rank, rank, kv]))):
+            np.minimum.at(res, ids, by)
+            decided &= np.bincount(by[res[ids] < by], minlength=m) == 0
+            res[ids] = _FREE
+        # the vertices whose every element is dying (decided attempts share
+        # no vertex, so one count per node serves them all)
+        on = decided[kv]
+        kv, dv = kv[on], dv[on]
+        last = self.deg[dv] == np.bincount(dv, minlength=len(self.deg))[dv]
+        # per direction, keep s and remove r: allowed if the flags allow it
+        # and no vertex but r loses its last element; r's other elements
+        # are rewired to s
+        g = np.flatnonzero(decided & has)
+        plans = []
+        for s, r, star, keep in ((a, b, sb, keep_a), (b, a, sa, keep_b)):
+            keep = (keep & (np.bincount(kv[last & (dv != r[kv])], minlength=m) == 0))[g]
+            s, r, star = s[g, None], r[g, None], star[g]
+            rows = self.elems[star]
+            rew = (star >= 0) & ~_holds(rows, s) & keep[:, None]
+            new = np.where(rows == r[..., None], s[..., None], rows)
+            plans.append((keep, star, rew, new))
+        q = quality(self.coords, self.tensors,
+                    np.vstack([new[rew] for _, _, rew, new in plans]), self.qual_p)
+        # no rewired row may invert or drop below the floor of the stars'
+        # worst quality; the better direction wins, the first one ties
+        floor = _QUALITY_FLOOR_FACTOR * self.elem_q[stars[g]].min(axis=1)
+        best, choice, q_new = np.full(len(g), -np.inf), np.full(len(g), -1), []
+        for k, (keep, _, rew, _) in enumerate(plans):
+            q_new.append(np.full(rew.shape, np.inf))
+            q_new[k][rew], q = q[:rew.sum()], q[rew.sum():]
+            low = q_new[k].min(axis=1)
+            better = keep & ~((low <= 0.0) | (low < floor)) & (low > best)
+            best[better], choice[better] = low[better], k
+        for k, ((_, star, rew, new), q_k) in enumerate(zip(plans, q_new)):
+            pick = rew & (choice == k)[:, None]
+            self.elems[star[pick]], self.elem_q[star[pick]] = new[pick], q_k[pick]
+        c = choice >= 0
+        self.dead[sa[g][shared[g] & c[:, None]]] = True
+        committed = np.zeros(m, dtype=bool)
+        committed[g[c]] = True
+        others = dv[committed[kv] & (dv != a[kv]) & (dv != b[kv])]
+        a, b, to_b = a[g[c]], b[g[c]], choice[c] == 1
+        self._relink(np.where(to_b, b, a), np.where(to_b, a, b), others)
+        return decided, committed
 
-    def score(self, attempts):
-        """Per plan list in `attempts`, the qualities of its plans' rewired
-        rows in order, all from one kernel call (none for no rows)."""
-        rows = np.fromiter(chain.from_iterable(
-            nodes for plans in attempts for plan in plans for _, nodes in plan[3]),
-            dtype=np.int64)
-        q = iter(quality(self.coords, self.tensors, rows, self.qual_p).tolist()
-                 if rows.size else ())
-        return [[next(q) for plan in plans for _ in plan[3]] for plans in attempts]
-
-    def collapse(self, a, b, plans, q):
-        """Commit the plan of edge (a, b) whose rewired elements score best
-        (`q` from `score`), unless it inverts an element or drops one below
-        the floor of the star's current worst quality. Returns whether it
-        committed."""
-        if not plans:
-            return False
-        touched = self.node2el[a] | self.node2el[b]
-        thresh = _QUALITY_FLOOR_FACTOR * min(map(self.elem_q.__getitem__, touched))
-        best = None
-        k = 0
-        for plan in plans:
-            q_plan = q[k:k + len(plan[3])]
-            k += len(q_plan)
-            min_q = min(q_plan, default=np.inf)
-            if min_q <= 0.0 or min_q < thresh:
-                continue                    # would invert or wreck local quality
-            if best is None or min_q > best[0]:
-                best = (min_q, plan, q_plan)
-        if best is None:
-            return False
-        self._commit_collapse(*best[1:])
-        return True
-
-    def _plan_collapse(self, s, r):
-        """The topology of collapsing r into s, or None if it is not allowed."""
-        dying = self.node2el[s] & self.node2el[r]
-        if not dying:
-            return None
-        new_elems = [(e, tuple(s if v == r else v for v in self.elems[e]))
-                     for e in sorted(self.node2el[r] - dying)]
-        # no vertex of a dying element may lose its last element
-        if any(self.node2el[v] <= dying
-               for e in dying for v in self.elems[e] if v != r):
-            return None
-        return (s, r, dying, new_elems)
-
-    def _commit_collapse(self, plan, q_new):
-        s, r, dying, new_elems = plan
-        for e in dying:
-            for v in self.elems[e]:
-                self.node2el[v].discard(e)
-            self.elems[e] = None
-        for (e, nodes), q in zip(new_elems, q_new):
-            self.elems[e] = nodes
-            self.node2el[r].discard(e)
-            self.node2el[s].add(e)
-            self.elem_q[e] = q
+    def _relink(self, s, r, others):
+        """Update the element lists after collapsing each r[k] into s[k]:
+        drop the dead elements from the lists of s, r and the other
+        vertices of the dying elements (`others`, with repeats), and move
+        r's remaining ones to s."""
         self.alive[r] = False
-        self.node2el[r] = set()
-        self.n_alive_nodes -= 1
+        others = np.sort(others)
+        others = others[np.diff(others, prepend=-1) != 0]
+        nodes = np.concatenate([np.column_stack([s, r]).ravel(), others])
+        rows = self.n2e[nodes, :self.deg[nodes].max(initial=0)]
+        live = ~self.dead[rows]
+        # r's row follows s's and takes its label, so each label's entries
+        # stay contiguous
+        label = np.concatenate([np.repeat(s, 2), others])[np.nonzero(live)[0]]
+        start = np.flatnonzero(np.diff(label, prepend=-1))
+        count = np.diff(np.append(start, len(label)))
+        self.deg[nodes] = 0
+        self.deg[label[start]] = count
+        if count.max(initial=0) > self.n2e.shape[1]:
+            self.n2e = np.pad(self.n2e, ((0, 0), (0, count.max())), constant_values=-1)
+        self.n2e[nodes, :rows.shape[1]] = -1
+        self.n2e[label, np.arange(len(label)) - np.repeat(start, count)] = rows[live]
 
-    def to_mesh(self):
-        """Mesh, field and metric on the alive nodes."""
-        keep = np.flatnonzero(self.alive)
-        remap = np.cumsum(self.alive) - 1       # the new ids of the alive nodes
-        elements = np.array([e for e in self.elems if e is not None], dtype=np.int64)
-        new_mesh = SimplicialMesh(self.mesh.dim, self.coords[keep], remap[elements],
-                                  self.mesh.box)
-        return new_mesh, self.u[keep], MetricField(self.tensors[keep])
+
+def _holds(rows, v):
+    """Whether each row rows[k, j] (of nv node ids) holds the node v[k, 0];
+    column by column, as np.any on rows this short costs more."""
+    hit = rows[..., 0] == v
+    for j in range(1, rows.shape[-1]):
+        hit |= rows[..., j] == v
+    return hit
 
 
 def coarsen_pass(mesh, u, psi, opts):
@@ -288,60 +295,64 @@ def coarsen_pass(mesh, u, psi, opts):
     When `opts` carries a positive node budget `npb`, edges beyond `l_low`
     are also collapsed (still in ascending length order) until the node
     count drops to the budget. A pass with nothing to try returns the input
-    mesh without building the editor.
+    mesh.
 
-    The attempts run in windows. A window plans its next attempts on the
-    same editor state, scores all their plans in one quality call and
-    commits them in order. An attempt whose read set (`_Editor.attempt`)
-    meets the star of a collapse committed earlier in the window is planned
-    and scored again on its own; every other one would plan the same, so
-    the pass is that of trying one edge at a time. The window halves after
-    re-planning and doubles otherwise, within `_WINDOW_MIN.._WINDOW_MAX`.
+    Rounds (`_CollapseRounds.round`) commit what trying the attempts one at
+    a time would: each decides the attempts of a window of pending ones,
+    in order, whose element and node sets meet no earlier one of it. In
+    budget mode a long attempt waits until the node count before it is
+    known to be above the budget, or stops the pass once it is not.
     """
     edges = mesh.edges()
     lens = edge_lengths(mesh.nodes, psi.tensors, edges)
     order = np.argsort(lens, kind="stable")
-    pairs = edges[order]
-    long = (lens[order] >= opts.l_low).tolist()
+    long = lens[order] >= opts.l_low
     npb = int(getattr(opts, "npb", 0))
-
-    def done(i, n_alive):
-        return long[i] and (npb <= 0 or n_alive <= npb)
-
-    if len(order) == 0 or done(0, mesh.num_nodes):
+    n = mesh.num_nodes
+    if len(order) == 0 or (long[0] and (npb <= 0 or n <= npb)):
         return mesh, np.array(u, dtype=float), psi, 0
-    ed = _Editor(mesh, u, psi, opts.qual_p)
-    alive = ed.alive
-    n_collapsed, i, width = 0, 0, _WINDOW_MIN
-    # once `done` holds, it holds further along `pairs` and as nodes die,
-    # so it is checked as a window grows and before each commit
-    while True:
-        window = []
-        while i < len(pairs) and len(window) < width and not done(i, ed.n_alive_nodes):
-            a, b = pairs[i].tolist()
-            if alive[a] and alive[b]:       # dead nodes never come back
-                window.append((i, a, b, *ed.attempt(a, b)))
-            i += 1
-        if not window:
-            break
-        scores = ed.score([plans for *_, plans in window])
-        stars, replanned = set(), False
-        for (k, a, b, reads, plans), q in zip(window, scores):
-            if done(k, ed.n_alive_nodes):
-                break
-            if not reads.isdisjoint(stars):
-                replanned = True
-                if not (alive[a] and alive[b]):
-                    continue
-                reads, plans = ed.attempt(a, b)
-                q, = ed.score([plans])
-            if ed.collapse(a, b, plans, q):
-                n_collapsed += 1
-                stars |= reads
-        width = (max(width // 2, _WINDOW_MIN) if replanned
-                 else min(2 * width, _WINDOW_MAX))
-    new_mesh, new_u, new_psi = ed.to_mesh()
-    return new_mesh, new_u, new_psi, n_collapsed
+    # the survivor must carry every segment flag of the removed node, so
+    # boundary endpoints win over interior ones and corners never vanish
+    member = mesh.segment_membership[1]
+    bits = member @ (np.int64(1) << np.arange(member.shape[1], dtype=np.int64))
+    a, b = edges[order].astype(np.int64).T
+    keep_a, keep_b = (bits[b] & ~bits[a]) == 0, (bits[a] & ~bits[b]) == 0
+    # without a budget the first long edge ends the pass
+    tried = (keep_a | keep_b) & ((npb > 0) | ~long)
+    a, b, keep_a, keep_b, long = (x[tried] for x in (a, b, keep_a, keep_b, long))
+    rounds = _CollapseRounds(mesh, psi, opts.qual_p)
+    alive, committed = rounds.alive, np.zeros(len(a), dtype=bool)
+    pending = np.zeros(0, dtype=np.int64)       # undecided attempts, in order
+    nxt, end, width = 0, len(a), _ROUND_MIN
+    while len(pending) or nxt < end:
+        win = np.append(pending, np.arange(nxt, min(nxt + width - len(pending), end)))
+        nxt = max(nxt, win[-1] + 1)
+        win = win[alive[a[win]] & alive[b[win]]]
+        ready = ~long[win]
+        if not ready.all():
+            # the node count before each attempt is at most `hi`, and at
+            # least `hi` less the undecided attempts before it
+            span = committed[win[0]:nxt]
+            hi = n - (committed.sum() - span.sum()
+                      + np.concatenate([[0], np.cumsum(span)])[win - win[0]])
+            stop = np.flatnonzero(long[win] & (hi <= npb))
+            if len(stop):                       # the budget is reached there
+                end = win[stop[0]]
+                win, hi, ready = win[:stop[0]], hi[:stop[0]], ready[:stop[0]]
+            ready |= hi - np.arange(len(win)) > npb
+        pending = win
+        if len(win):
+            decided, committed[win] = rounds.round(a[win], b[win], keep_a[win],
+                                                   keep_b[win], ready)
+            pending = win[~decided]
+            width = (min(2 * width, _ROUND_MAX) if 2 * decided.sum() >= len(win)
+                     else max(width // 2, _ROUND_MIN))
+    keep = np.flatnonzero(alive[:n])
+    remap = np.cumsum(alive[:n]) - 1            # the new ids of the alive nodes
+    elements = remap[rounds.elems[:-1][~rounds.dead[:-1]]]
+    return (SimplicialMesh(mesh.dim, mesh.nodes[keep], elements, mesh.box),
+            np.asarray(u, dtype=float)[keep], MetricField(psi.tensors[keep]),
+            int(committed.sum()))
 
 
 def refine_pass(mesh, u, psi, opts):
@@ -353,17 +364,21 @@ def refine_pass(mesh, u, psi, opts):
     it (`_bisect`). The midpoint of the marked edge of rank k, by descending
     length and then node ids, is node n + k. Rounds repeat until no element
     violates the bound, or warn after `_MAX_REFINE_ROUNDS`.
+
+    An element that is not split keeps its edges, so later rounds measure
+    only the last round's children: `_bisect` puts the unsplit elements
+    first, and every child holds a new node.
     """
     pairs = _pairs(mesh.dim + 1)
     coords, tensors = mesh.nodes, psi.tensors
     u = np.array(u, dtype=float)
     elems = np.asarray(mesh.elements, dtype=np.int64)
-    n_split = 0
+    n_split, first = 0, 0
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
-        # one length per unique edge (swapped endpoints give the same bits)
-        edges, elem_edges, _ = sub_simplices(elems, len(coords), pairs)
-        lens = edge_lengths(coords, tensors, edges)[elem_edges]
-        longest = lens.max(axis=1)
+        # one length per element pair (swapped endpoints give the same bits)
+        ends = elems[first:, pairs]
+        lens = edge_lengths(coords, tensors, ends.reshape(-1, 2)).reshape(len(ends), -1)
+        longest = reduce(np.maximum, lens.T)
         viol = np.nonzero(longest > opts.l_up)[0]
         if viol.size == 0:
             break
@@ -371,16 +386,19 @@ def refine_pass(mesh, u, psi, opts):
             logger.warning("refine stopped after %d rounds with %d elements "
                            "still above l_up", rnd, viol.size)
             break
-        marked = elem_edges[viol, lens[viol].argmax(axis=1)]
-        marked, inverse = np.unique(marked, return_inverse=True)
-        ends = edges[marked]
-        length = np.full(len(ends), -np.inf)
+        n = len(coords)
+        marked = ends[viol, lens[viol].argmax(axis=1)]
+        keys, inverse = np.unique(_edge_keys(marked[:, 0], marked[:, 1], n),
+                                  return_inverse=True)
+        length = np.full(len(keys), -np.inf)
         np.maximum.at(length, inverse, longest[viol])
-        a, b = ends[np.lexsort((ends[:, 1], ends[:, 0], -length))].T
-        elems = _bisect(elems, a, b, len(coords))
-        coords = np.concatenate([coords, 0.5 * (coords[a] + coords[b])])
-        u = np.concatenate([u, 0.5 * (u[a] + u[b])])
-        tensors = np.concatenate([tensors, 0.5 * (tensors[a] + tensors[b])])
+        keys = keys[np.argsort(-length, kind="stable")]     # ties in key order
+        a, b = keys // n, keys % n
+        elems = _bisect(elems, a, b, n)
+        # column by column: np.max on rows this short costs more
+        first = np.count_nonzero(reduce(np.maximum, elems.T) < n)
+        coords, u, tensors = (np.concatenate([x, 0.5 * (x[a] + x[b])])
+                              for x in (coords, u, tensors))
         n_split += len(a)
     return (SimplicialMesh(mesh.dim, coords, elems, mesh.box), u, MetricField(tensors),
             n_split)

@@ -117,9 +117,9 @@ def cmd_adapt(args):
     if not report.ok:
         print(f"error: invalid input mesh: {report}", file=sys.stderr)
         return 2
-    eta_policy = (EtaPolicy.linear_in_np(args.eta_np) if args.eta_np
-                  else EtaPolicy.constant(args.eta))
     try:
+        eta_policy = (EtaPolicy.linear_in_np(args.eta_np) if args.eta_np is not None
+                      else EtaPolicy.constant(args.eta))
         trop = AdaptOptions.for_dim(mesh.dim, eta_policy=eta_policy, sw=args.sw,
                                     l_low=args.llow, l_up=args.lup,
                                     innerit=args.innerit)

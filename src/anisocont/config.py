@@ -125,8 +125,8 @@ def _parse_eta(section):
     if "eta" in section and "eta_np" in section:
         raise ConfigError(f"[{section.name}] eta and eta_np are mutually exclusive")
     if "eta_np" in section:
-        return EtaPolicy.linear_in_np(_get(section, "eta_np", parse_number))
-    return EtaPolicy.constant(_get(section, "eta", parse_number))
+        return _get(section, "eta_np", lambda t: EtaPolicy.linear_in_np(parse_number(t)))
+    return _get(section, "eta", lambda t: EtaPolicy.constant(parse_number(t)))
 
 
 # the adaptation keys a [trop] or [trcop] section may set, besides eta/eta_np

@@ -39,6 +39,10 @@ class EtaPolicy:
     mode: str = "constant"
     coefficient: float = 1e-3
 
+    def __post_init__(self):
+        if not self.coefficient > 0:
+            raise ValueError(f"eta coefficient must be > 0, got {self.coefficient}")
+
     @classmethod
     def constant(cls, value=1e-3):
         return cls("constant", float(value))
@@ -57,8 +61,6 @@ def eval_eta(policy, n_points):
         eta = policy.coefficient * n_points
     else:
         raise ValueError(f"unknown eta policy mode '{policy.mode}'")
-    if eta <= 0:
-        raise ValueError(f"eta policy evaluated to non-positive value {eta}")
     return float(eta)
 
 

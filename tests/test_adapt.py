@@ -1,3 +1,5 @@
+import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisocont as ac
-from anisocont import adapt, metric
+from anisocont import adapt, continuation, metric
 from anisocont import mesh as mesh_module
+from anisocont.config import load_config
 from anisocont.metric import MetricField
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def uniform_metric(mesh, tensor):
@@ -121,8 +126,9 @@ class TestCoarsenPass:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_noop_skips_editor_in_normal_form(self, dim, monkeypatch):
-        # the pass without collapses must still return what the editor
-        # builds (`_Editor.to_mesh`), bitwise
+        # the pass without collapses must still return what the oracle's
+        # editor builds (`OracleEditor.to_mesh`), bitwise, without building
+        # its own round state
         m = (ac.build_rect_mesh(1, 1, 3, 3) if dim == 2
              else ac.build_box_mesh(1.0, 1.0, 1.0, 3, 3, 3))
         rng = np.random.default_rng(5)
@@ -130,12 +136,12 @@ class TestCoarsenPass:
         psi = uniform_metric(m, np.eye(dim))      # h = 1 >= l_low
         opts = ac.CoarsenOptions.from_trop(ac.AdaptOptions.for_dim(dim),
                                            npb=m.num_nodes + 1)
-        ref_mesh, ref_u, ref_psi = adapt._Editor(m, u, psi, opts.qual_p).to_mesh()
+        ref_mesh, ref_u, ref_psi = OracleEditor(m, u, psi, opts.qual_p).to_mesh()
 
-        def no_editor(*args):
-            raise AssertionError("editor built for a pass with nothing to try")
+        def no_rounds(*args):
+            raise AssertionError("round state built for a pass with nothing to try")
 
-        monkeypatch.setattr(adapt, "_Editor", no_editor)
+        monkeypatch.setattr(adapt, "_CollapseRounds", no_rounds)
         m2, u2, psi2, n = adapt.coarsen_pass(m, u, psi, opts)
         assert n == 0
         for got, ref in ((m2.nodes, ref_mesh.nodes), (m2.elements, ref_mesh.elements),
@@ -177,10 +183,73 @@ class TestCoarsenPass:
             assert old[p] == v
 
 
+class OracleEditor:
+    """The one-at-a-time collapse editor `adapt.coarsen_pass` replaced, on
+    node -> element sets: collapsing r into s removes the elements holding
+    both and rewires r's others to s, in place."""
+
+    def __init__(self, mesh, u, psi, qual_p):
+        n = mesh.num_nodes
+        self.mesh, self.qual_p = mesh, qual_p
+        self.coords, self.tensors = mesh.nodes, psi.tensors
+        self.u = np.asarray(u, dtype=float)
+        self.alive = [True] * n
+        self.n_alive_nodes = n
+        self.flags = mesh.boundary_node_flags
+        self.elems = list(map(tuple, mesh.elements.tolist()))
+        self.node2el = [set() for _ in range(n)]
+        for e, nodes in enumerate(self.elems):
+            for v in nodes:
+                self.node2el[v].add(e)
+        self.elem_q = adapt.quality(mesh.nodes, psi.tensors, mesh.elements,
+                                    qual_p).tolist()
+
+    def plan(self, s, r):
+        """The topology of collapsing r into s: (s, r, dying elements,
+        rewired rows), or None if a vertex would lose its last element."""
+        dying = self.node2el[s] & self.node2el[r]
+        if not dying:
+            return None
+        new_elems = [(e, tuple(s if v == r else v for v in self.elems[e]))
+                     for e in sorted(self.node2el[r] - dying)]
+        if any(self.node2el[v] <= dying
+               for e in dying for v in self.elems[e] if v != r):
+            return None
+        return (s, r, dying, new_elems)
+
+    def commit(self, plan, q_new):
+        s, r, dying, new_elems = plan
+        for e in dying:
+            for v in self.elems[e]:
+                self.node2el[v].discard(e)
+            self.elems[e] = None
+        for (e, nodes), q in zip(new_elems, q_new):
+            self.elems[e] = nodes
+            self.node2el[r].discard(e)
+            self.node2el[s].add(e)
+            self.elem_q[e] = q
+        self.alive[r] = False
+        self.node2el[r] = set()
+        self.n_alive_nodes -= 1
+
+    def to_mesh(self):
+        """Mesh, field and metric on the alive nodes."""
+        keep = np.flatnonzero(self.alive)
+        remap = np.cumsum(self.alive) - 1
+        elements = np.array([e for e in self.elems if e is not None], dtype=np.int64)
+        return (ac.SimplicialMesh(self.mesh.dim, self.coords[keep], remap[elements],
+                                  self.mesh.box),
+                self.u[keep], MetricField(self.tensors[keep]))
+
+
 def coarsen_oracle(mesh, u, psi, opts):
     """The coarsen loop `adapt.coarsen_pass` replaced, kept as its bitwise
-    reference: it tries the edges one at a time, shortest first, and scores
-    each attempt's plans in a quality call of its own.
+    reference: it tries the edges one at a time, shortest first, on an
+    `OracleEditor`, and scores each attempt's plans in a quality call of
+    its own. The survivor must carry every segment flag of the removed
+    node; the plan whose rewired rows score best wins, the first on ties,
+    unless a row inverts or drops below `_QUALITY_FLOOR_FACTOR` times the
+    worst quality of both stars.
 
     It also tracks the boundary facets through each committed collapse of r
     into s, on a dict of its own: a facet through r dies if it holds s too,
@@ -194,7 +263,7 @@ def coarsen_oracle(mesh, u, psi, opts):
     edges = mesh_module.unique_edges(mesh.elements)
     lens = metric.edge_lengths(mesh.nodes, psi.tensors, edges)
     npb = int(getattr(opts, "npb", 0))
-    ed = adapt._Editor(mesh, u, psi, opts.qual_p)
+    ed = OracleEditor(mesh, u, psi, opts.qual_p)
     facets = {tuple(f): s for f, s in zip(mesh.boundary_facets.tolist(),
                                           mesh.facet_segments.tolist())}
     elem_keys = {tuple(sorted(e)) for e in ed.elems}
@@ -221,7 +290,7 @@ def coarsen_oracle(mesh, u, psi, opts):
             directions.append((a, b))
         if fa <= fb:
             directions.append((b, a))
-        plans = [plan for plan in (ed._plan_collapse(s, r) for s, r in directions)
+        plans = [plan for plan in (ed.plan(s, r) for s, r in directions)
                  if plan is not None]
         log.merging_plans += sum(facet_moves(plan)[1] for plan in plans)
         if not plans:
@@ -255,7 +324,7 @@ def coarsen_oracle(mesh, u, psi, opts):
             facets[new] = facets.pop(old)
         for key in [key for key in facets if r in key]:     # through s too
             del facets[key]
-        ed._commit_collapse(*best[1:])
+        ed.commit(*best[1:])
         return True
 
     n_collapsed = 0
@@ -351,11 +420,14 @@ class TestCoarsenAgainstOracle:
         psi = sheared_metric(m, [64.0, 64.0])
         opts = ac.CoarsenOptions.from_trop(opts2d(), npb=m.num_nodes - cut)
         _, log = coarsen_oracle(m, np.zeros(m.num_nodes), psi, opts)
-        attempts = count_calls(monkeypatch, adapt._Editor, "attempt")
+        rounds = count_calls(monkeypatch, adapt._CollapseRounds, "round")
         m2, n, _ = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
         assert n == cut and m2.num_nodes == opts.npb
-        # the last window planned edges the one-at-a-time loop never reached
-        assert {args[1:] for args in attempts} - set(log.reached)
+        # the last round's window held edges the one-at-a-time loop never
+        # reached, and rounds decided several collapses each
+        windows = [set(zip(args[1].tolist(), args[2].tolist())) for args in rounds]
+        assert windows[-1] - set(log.reached)
+        assert len(rounds) < cut
 
     def test_everything_short_keeps_corners_and_boundary(self):
         m = ac.build_rect_mesh(1, 1, 9, 9)
@@ -367,29 +439,58 @@ class TestCoarsenAgainstOracle:
         assert corners <= {tuple(np.round(p, 9)) for p in m2.nodes}
         assert set(m2.facet_segments.tolist()) == {1, 2, 3, 4}
 
-    def test_window_replans_two_short_edges_at_one_vertex(self, monkeypatch):
-        # h = 0.25 and metric 16 I: every edge is metric-long but three. The
-        # shortest, near the top, fills the first window alone; the two at
-        # the corner c share c and fill the second, so the second of them
-        # is planned again after the corner keeps c and removes the first
+    @staticmethod
+    def grid_with_short_edges(moves):
+        """The 9 x 9 grid of h = 0.25 with the nodes at the given (x, y)
+        moved by the given (dx, dy), and the node id lookup."""
         m = ac.build_rect_mesh(1, 1, 9, 9)
         nodes = m.nodes.copy()
 
         def node(x, y):
-            return int(np.flatnonzero((np.abs(nodes - [x, y]) < 1e-12).all(axis=1))[0])
+            return int(np.flatnonzero((np.abs(m.nodes - [x, y]) < 1e-12).all(axis=1))[0])
 
+        for (x, y), shift in moves.items():
+            nodes[node(x, y)] += shift
+        return ac.SimplicialMesh(2, nodes, m.elements, m.box), node
+
+    def test_two_short_edges_at_one_corner_take_two_rounds(self, monkeypatch):
+        # metric 16 I: every edge is metric-long but three. The shortest,
+        # near the top, and the first of the two at the corner c are
+        # decided in the first round; the second shares c with it, so it
+        # waits for the next round and sees c keep its place
+        m, node = self.grid_with_short_edges({(-0.75, -1): [-0.1, 0],
+                                              (-1, -0.75): [0, -0.095],
+                                              (0, 0.75): [0, 0.14]})
         c, q1, q2, y, top = (node(-1, -1), node(-0.75, -1), node(-1, -0.75),
                              node(0, 0.75), node(0, 1))
-        nodes[q1], nodes[q2], nodes[y] = [-0.85, -1], [-1, -0.845], [0, 0.89]
-        m = ac.SimplicialMesh(2, nodes, m.elements, m.box)
         psi = uniform_metric(m, 16.0 * np.eye(2))
         opts = opts2d()
         lens = metric.edge_lengths(m.nodes, psi.tensors, mesh_module.unique_edges(m.elements))
         assert (lens < opts.l_low).sum() == 3
-        attempts = count_calls(monkeypatch, adapt._Editor, "attempt")
-        _, n, _ = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
+        rounds = count_calls(monkeypatch, adapt._CollapseRounds, "round")
+        _, n, log = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts)
         assert n == 3
-        assert [args[1:] for args in attempts] == [(y, top), (c, q1), (c, q2), (c, q2)]
+        assert log.reached == [(y, top), (c, q1), (c, q2)]
+        windows = [list(zip(args[1].tolist(), args[2].tolist())) for args in rounds]
+        assert windows == [[(y, top), (c, q1), (c, q2)], [(c, q2)]]
+
+    def test_shared_vertex_alone_does_not_conflict(self, monkeypatch):
+        # two short edges one cell apart on a row: the elements of their
+        # stars share the vertex between them, but no element, endpoint or
+        # vertex of a dying element, so one round decides both
+        m, node = self.grid_with_short_edges({(-0.25, 0): [-0.1, 0],
+                                              (0.25, 0): [0.1, 0]})
+        e1, e2 = (node(-0.5, 0), node(-0.25, 0)), (node(0.25, 0), node(0.5, 0))
+        stars = [{k for k, row in enumerate(m.elements.tolist()) if set(row) & set(e)}
+                 for e in (e1, e2)]
+        assert not stars[0] & stars[1]
+        assert node(0, 0) in set(m.elements[list(stars[0])].ravel()) \
+            & set(m.elements[list(stars[1])].ravel())
+        psi = uniform_metric(m, 16.0 * np.eye(2))
+        rounds = count_calls(monkeypatch, adapt._CollapseRounds, "round")
+        _, n, log = assert_coarsen_matches_oracle(m, np.zeros(m.num_nodes), psi, opts2d())
+        assert n == 2 and log.reached == [e1, e2]
+        assert len(rounds) == 1
 
 
 class TestCoarsenKernelCalls:
@@ -405,8 +506,42 @@ class TestCoarsenKernelCalls:
         oracle_calls = len(calls)
         assert len(log.reached) >= 1000
         del calls[:]
+        rounds = count_calls(monkeypatch, adapt._CollapseRounds, "round")
         assert adapt.coarsen_pass(m, u, psi, opts)[3] == n_ref
+        # one call scores the input elements, then one per round
+        assert len(calls) == len(rounds) + 1
         assert 3 * len(calls) < oracle_calls
+
+
+class TestCoarsenOnARealState:
+    def test_first_wspot3d_coarsen_pass(self, monkeypatch):
+        # the first coarsen pass of the 3D spot run adapting at step 5 with
+        # eta = 5e-5 np, as the benchmark's wspot3d workload does
+        cfg = load_config(os.path.join(CONFIG_DIR, "ac3d_wspot.cfg"))
+        policy = metric.EtaPolicy.linear_in_np(5e-5)
+        settings = replace(cfg.cont, nsteps=5, param_max=None)
+        mesh = cfg.build_mesh()
+        state = continuation.ContinuationState(mesh, np.zeros(mesh.num_nodes), cfg.prob,
+                                               ds=settings.ds0)
+        captured = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(*args):
+            captured.append(args)
+            raise Captured
+
+        monkeypatch.setattr(adapt, "coarsen_pass", capture)
+        with pytest.raises(Captured):
+            continuation.run_continuation(
+                state, settings, trop=replace(cfg.trop, eta_policy=policy),
+                trcop=replace(cfg.trcop, eta_policy=policy), direction=cfg.direction)
+        monkeypatch.undo()
+        mesh, u, psi, opts = captured[0]
+        assert mesh.num_nodes == 3549
+        _, n, _ = assert_coarsen_matches_oracle(mesh, u, psi, opts)
+        assert n > 2000
 
 
 def refine_oracle(mesh, u, psi, opts):

@@ -207,6 +207,16 @@ class TestAdaptSections:
             load_config(path)
 
 
+    @pytest.mark.parametrize("section,line", [("trop", "eta_np = -1e-6"),
+                                              ("trcop", "eta = 0")])
+    def test_nonpositive_eta_names_section(self, tmp_path, section, line):
+        # rejected when the file loads, not at the first adaptation
+        trop = self.TROP if section == "trcop" else f"[trop]\n{line}\n"
+        trcop = f"[trcop]\n{line}\n" if section == "trcop" else ""
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {line.split()[0]}: "):
+            load_config(adapt_config(tmp_path, trop + trcop))
+
+
 class TestRunCommand:
     def test_tiny_run_produces_outputs(self, tmp_path):
         path = tiny_config(tmp_path)
@@ -321,6 +331,15 @@ class TestAdaptCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "mesh_adapted.txt").exists()
         assert not (tmp_path / "field_adapted.txt").exists()
+
+
+    @pytest.mark.parametrize("flags", [["--eta", "0"], ["--eta", "-1"], ["--eta-np", "0"]])
+    def test_nonpositive_eta_exits_2(self, tmp_path, capsys, flags):
+        # `--eta-np 0` is an eta_np of 0, not a fall-back to --eta
+        mpath, fpath = self.write_inputs(tmp_path, n=5)
+        assert cli.main(["adapt", str(mpath), str(fpath), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: eta coefficient must be > 0")
+        assert not (tmp_path / "mesh_adapted.txt").exists()
 
 
 class TestPlotCommand:

@@ -174,6 +174,13 @@ class TestEta:
         with pytest.raises(ValueError):
             ac.eval_eta(metric.EtaPolicy.constant(1.0), 0)
 
+    @pytest.mark.parametrize("make", [metric.EtaPolicy.constant,
+                                      metric.EtaPolicy.linear_in_np])
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_coefficient_rejected_at_construction(self, make, value):
+        with pytest.raises(ValueError, match="eta coefficient must be > 0"):
+            make(value)
+
 
 class TestEdgeLength:
     def test_identity_metric_is_euclidean(self, square_mesh):
