@@ -52,8 +52,12 @@ class ContinuationSettings:
     switch_delta: float = 0.1
 
     def __post_init__(self):
-        if not self.ds_min <= self.ds0 <= self.ds_max:
-            raise ValueError("need ds_min <= ds0 <= ds_max")
+        if not 0 < self.ds_min <= self.ds0 <= self.ds_max:
+            raise ValueError("need 0 < ds_min <= ds0 <= ds_max")
+        if not (self.newton_tol > 0 and self.bp_param_tol > 0):
+            raise ValueError("need newton_tol > 0 and bp_param_tol > 0")
+        if self.newton_max_it < 0 or self.nsteps < 0:
+            raise ValueError("need newton_max_it >= 0 and nsteps >= 0")
         if self.amod < 0 or self.ngen < 1:
             raise ValueError("need amod >= 0 and ngen >= 1")
 
@@ -120,9 +124,9 @@ class RunResult:
 class FemWorkspace:
     """Caches the mesh-bound matrices used by repeated residual/Jacobian calls:
     the stiffness and mass matrices, the Jacobian's fixed sparsity pattern
-    (`pattern`, filled by value on every update), and `solver`, the one
+    (`pattern`, filled by value on every update), `solver`, the one
     BorderedSolver whose LU every solve with this mesh's Jacobian refines on
-    (README, "Linear solves")."""
+    (README, "Linear solves"), and the stability counts' `count_ordering`."""
 
     def __init__(self, mesh, prob):
         self.mesh = mesh
@@ -134,6 +138,7 @@ class FemWorkspace:
         self.free = self.pattern.free
         self._J_cache = (None, None, None)
         self.solver = BorderedSolver(norm=self.pattern.inf_norm)
+        self.count_ordering = None
 
     def release(self):
         """Drops the LU and the remembered Jacobian, which later calls
@@ -190,12 +195,13 @@ class FemWorkspace:
         return math.sqrt(max(self.inner(du, dp, du, dp), 0.0))
 
 
-def factorize(A, diag_pivot_thresh=0.1):
+def factorize(A, diag_pivot_thresh=0.1, permc_spec="MMD_AT_PLUS_A"):
     """Sparse LU: minimum-degree ordering of A' + A with symmetric-mode
     threshold pivoting (README, "Linear solves"). The default threshold 0.1
     serves repeated solves; `stability_index` passes 0.0, which keeps every
-    nonzero diagonal pivot, so the factors of a symmetric A are L D L'."""
-    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+    nonzero diagonal pivot, so the factors of a symmetric A are L D L', and
+    permc_spec="NATURAL" for a matrix already in a cached ordering."""
+    return spla.splu(sp.csc_matrix(A), permc_spec=permc_spec,
                      diag_pivot_thresh=diag_pivot_thresh,
                      options={"SymmetricMode": True})
 
@@ -235,13 +241,15 @@ class BorderedSolver:
     included), `refactors` (LUs made because refinement on a kept LU fell
     short), `refinements` (sweeps) and `fallbacks` (full bordered LUs).
 
-    `count_lu` is `(J, lu)`, the LU of a stability count at the state whose
-    Jacobian is J (see `stability_index`), or None. The solver drops it
-    when it factors or is released, so a workspace holds one LU at a time.
+    `adopt(J, lu, free)` keeps a stability count's LU of A, the symmetric
+    part of J's free block, as a kept LU of J. J's Dirichlet rows are
+    identity rows, so its back-solves are x_d = b_d and
+    x_f = A^-1 (b_f - J_fd b_d), refined against J as on any kept LU.
+    `counted` is that J until the solver factors or is released.
     """
 
     def __init__(self, J=None, norm=None):
-        self.J = self.lu = self.error = self.count_lu = None
+        self.J = self.lu = self.error = self.counted = self._split = None
         self._norm = norm or _inf_norm
         self.fresh = True
         self.factorizations = self.refactors = self.refinements = 0
@@ -260,9 +268,14 @@ class BorderedSolver:
             self._set(J)
             self.fresh = False
 
+    def adopt(self, J, lu, free):
+        self._set(J)
+        self.lu, self.counted, self.fresh = lu, J, False
+        self._split = np.flatnonzero(free), np.flatnonzero(~free)
+
     def release(self):
-        """Drops J and the LUs; the next `update` factors."""
-        self.J = self.lu = self.count_lu = None
+        """Drops J and the LU; the next `update` factors."""
+        self.J = self.lu = self.counted = None
 
     def _set(self, J):
         self.J = sp.csc_matrix(J)
@@ -271,7 +284,7 @@ class BorderedSolver:
     def _factor(self):
         self.factorizations += 1
         self.fresh = True
-        self.lu = self.count_lu = None       # never hold two LUs at once
+        self.lu = self.counted = None        # never hold two LUs at once
         try:
             self.lu, self.error = factorize(self.J), None
         except RuntimeError as exc:          # SuperLU: exactly singular
@@ -280,6 +293,19 @@ class BorderedSolver:
     def _refactor(self):
         self.refactors += 1
         self._factor()
+
+    def _back_solve(self, b):
+        if self.counted is None:
+            return self.lu.solve(b)
+        free, fixed = self._split
+        b_d = b[fixed]
+        x = np.zeros_like(b)
+        x[fixed] = b_d
+        rhs = b[free]
+        if b_d.any():
+            rhs -= (self.J @ x)[free]
+        x[free] = self.lu.solve(rhs)
+        return x
 
     def _refine(self, z, residual, correct, a_norm, b_norm, atol):
         """(z, accepted): z refined by `z += correct(residual(z))` sweeps,
@@ -313,8 +339,8 @@ class BorderedSolver:
         while True:
             if self.lu is None:
                 raise RuntimeError(f"cannot solve with a singular matrix: {self.error}")
-            x, ok = self._refine(self.lu.solve(f), lambda z: f - self.J @ z,
-                                 self.lu.solve, self._j_norm, b_norm, atol)
+            x, ok = self._refine(self._back_solve(f), lambda z: f - self.J @ z,
+                                 self._back_solve, self._j_norm, b_norm, atol)
             if ok or self.fresh:
                 return x
             self._refactor()
@@ -331,13 +357,14 @@ class BorderedSolver:
             return np.append(f - (self.J @ x + g * y), h - (float(r @ x) + c * y))
 
         while self.lu is not None:
-            vw = self.lu.solve(np.column_stack([g, f]))
+            vw = self._back_solve(np.column_stack([g, f]))
             v = vw[:, 0]
             s = c - float(r @ v)
             if s != 0.0 and np.isfinite(s):
                 z, ok = self._refine(
                     _eliminate(v, s, vw[:, 1], r, h), residual,
-                    lambda res: _eliminate(v, s, self.lu.solve(res[:n]), r, res[n]),
+                    lambda res: _eliminate(v, s, self._back_solve(res[:n]), r,
+                                           res[n]),
                     a_norm, b_norm, atol)
                 if ok:
                     return z[:n], float(z[n])
@@ -436,7 +463,8 @@ def compute_tangent(work, u, prob, prev_tangent):
     previous tangent.
 
     The solve refines on the workspace's LU (`work.solver`, through
-    `BorderedSolver.update`), usually that of a nearby Jacobian, and factors
+    `BorderedSolver.update`), with detection on that of the state's
+    stability count, else usually that of a nearby Jacobian, and factors
     only when it holds none or refinement does not reach the bound.
     """
     n = len(u)
@@ -508,14 +536,14 @@ def cont_step(state, settings, work):
     """One predictor/corrector step with stepsize control.
 
     Returns (new_state, info); new_state is None on permanent failure
-    (stepsize underflow). On success the stepsize grows by 1.3 when the
+    (stepsize underflow). On success new_state is the corrected state
+    without its tangent, which `run_continuation` computes after the
+    state's stability count, and the stepsize grows by 1.3 when the
     corrector needed at most 3 Newton iterations. Every corrector attempt
-    and the tangent refine on the workspace's LU (`work.solver`), which
-    factors only when it holds none or refinement would miss its target:
-    the inexact Newton residual of `_forcing` for the corrector, the
-    backward-error bound BACKWARD_TOL for the tangent.
-    `info` counts the LUs (`factorizations`) and refinement sweeps
-    (`refinements`) of this step.
+    refines on the workspace's LU (`work.solver`), which factors only when
+    it holds none or refinement would miss the inexact Newton residual of
+    `_forcing`. `info` counts the LUs (`factorizations`) and refinement
+    sweeps (`refinements`) of this step.
     """
     t = state.tangent
     n = len(state.u)
@@ -541,7 +569,6 @@ def cont_step(state, settings, work):
             prob.set_param(p)
             new_state = ContinuationState(state.mesh, u, prob, None,
                                           state.step_index + 1, ds_next)
-            new_state.tangent = compute_tangent(work, u, prob, t)
             return new_state, {"ds_used": ds, "newton_iters": iters, **counts()}
         ds *= 0.5
         if ds < settings.ds_min:
@@ -573,11 +600,13 @@ def stability_index(mesh, u, prob, work=None):
     singular, a warning names the reason and shift-invert Lanczos counts the
     eigenvalues instead. Returns None when that fallback fails too.
 
+    The first certified count on a workspace keeps its minimum-degree
+    ordering (`work.count_ordering`), in which later counts factor A.
     The count first releases the workspace's LU (`work.solver`), so the
-    workspace never holds it beside the count's own: with detection on,
-    the next solve factors afresh, as each step did before the LU was kept.
-    A certified count leaves its LU as the solver's `count_lu`, on which
-    `critical_eigenpair` finds the eigenvalue nearest 0 without a new LU.
+    workspace never holds two. A certified count hands its LU to the solver
+    (`BorderedSolver.adopt`): the state's tangent, the next corrector and,
+    while it is this state's, `critical_eigenpair` solve on it, so a step
+    with detection on makes one LU.
     """
     if work is None:
         work = FemWorkspace(mesh, prob)
@@ -586,20 +615,67 @@ def stability_index(mesh, u, prob, work=None):
     A = work.pattern.reduced_symmetric(J)
     if A.shape[0] == 0:
         return 0
-    count, lu = _inertia(A)
+    ordering = work.count_ordering
+    if ordering is not None and ordering.serves(A):
+        count, lu = ordering.inertia(A)
+    else:
+        count, lu = _inertia(A)
+        if count is not None:
+            work.count_ordering = _CountOrdering(A, lu.perm_c)
     if count is None:
         logger.warning("inertia count rejected (%s); counting eigenvalues by "
                        "shift-invert", lu)
         return _shift_invert_count(A, work.M_free)
-    work.solver.count_lu = (J, lu)
+    work.solver.adopt(J, lu, work.free)
     return count
 
 
-def _inertia(A):
+class _CountOrdering:
+    """The symmetric permutation of a certified count's LU. Factored with
+    the natural ordering, A[order][:, order] keeps that LU's fill without a
+    new minimum-degree analysis, as KLU splits symbolic from numeric
+    factorization (Davis & Palamadai Natarajan 2010). It serves matrices on
+    the first one's `indptr`, as `JacobianPattern.reduced_symmetric` makes
+    them; `gather` takes their data into the permuted CSC order."""
+
+    def __init__(self, A, perm_c):
+        self.indptr = A.indptr
+        self.order = np.argsort(perm_c)
+        pos = sp.csc_matrix((np.arange(1, A.nnz + 1), A.indices, A.indptr),
+                            shape=A.shape)[self.order][:, self.order].tocsc()
+        pos.sort_indices()
+        self.gather = pos.data - 1
+        self.permuted = pos.indices, pos.indptr
+
+    def serves(self, A):
+        return A.indptr is self.indptr
+
+    def inertia(self, A):
+        """`_inertia` of A, factored in this ordering; the LU solves with A."""
+        B = sp.csc_matrix((A.data[self.gather], *self.permuted), shape=A.shape)
+        count, lu = _inertia(B, permc_spec="NATURAL")
+        return (count, _Reordered(lu, self.order)) if count is not None \
+            else (None, lu)
+
+
+class _Reordered:
+    """The LU of A[order][:, order] as a solver of A."""
+
+    def __init__(self, lu, order):
+        self.lu, self.order = lu, order
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
+def _inertia(A, **ordering):
     """(negative pivot count, LU) of the L D L' factors of symmetric A, or
-    (None, reason) when the factors do not certify the count."""
+    (None, reason) when the factors do not certify the count. `ordering`
+    goes to `factorize`."""
     try:
-        lu = factorize(A, diag_pivot_thresh=0.0)
+        lu = factorize(A, diag_pivot_thresh=0.0, **ordering)
     except RuntimeError as exc:          # SuperLU: exactly singular
         return None, f"factorization failed: {exc}"
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -657,9 +733,8 @@ def critical_eigenpair(mesh, u, prob, work=None, v0=None):
     if work is None:
         work = FemWorkspace(mesh, prob)
     J = work.jacobian(u, prob)
-    held = work.solver.count_lu
-    if held is not None and held[0] is J:
-        lu = held[1]
+    if work.solver.counted is J:
+        lu = work.solver.lu
     else:
         work.solver.release()            # one LU at a time
         try:
@@ -863,9 +938,12 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
                      on_record=None, on_event=None):
     """Drive the continuation loop; returns a RunResult.
 
-    `direction` orients the very first tangent along +/- the active
-    parameter axis. `on_record(record, state)` fires for every emitted
-    branch record, `on_event(event, state)` for branch points and folds.
+    Each step is `cont_step`'s corrector, the stability count (with
+    detection on), whose LU the tangent then refines on, and the new
+    state's tangent. `direction` orients the very first tangent along +/-
+    the active parameter axis. `on_record(record, state)` fires for every
+    emitted branch record, `on_event(event, state)` for branch points and
+    folds.
     """
     work = FemWorkspace(state.mesh, state.prob)
     result = newton_solve(state.mesh, state.u, state.prob, settings.newton_tol,
@@ -875,6 +953,8 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
                      result.residual_norm)
         return RunResult([], [], state, "initial newton failed")
     state = replace(state, u=result.u, ds=settings.ds0)
+    n_neg = stability_index(state.mesh, state.u, state.prob, work) \
+        if settings.bif_detection else None
     if state.tangent is None:
         seed = np.zeros(len(state.u) + 1)
         seed[-1] = 1.0 if direction >= 0 else -1.0
@@ -887,8 +967,6 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
         if on_record:
             on_record(rec, st)
 
-    n_neg = stability_index(state.mesh, state.u, state.prob, work) \
-        if settings.bif_detection else None
     emit(make_record(state, work, n_neg=n_neg), state)
     stop_reason = "nsteps reached"
     while state.step_index < settings.nsteps:
@@ -901,6 +979,8 @@ def run_continuation(state, settings, trop=None, trcop=None, direction=1,
         state = new_state
         n_neg = stability_index(state.mesh, state.u, state.prob, work) \
             if settings.bif_detection else None
+        state.tangent = compute_tangent(work, state.u, state.prob,
+                                        prev_state.tangent)
         # a fold turns the parameter component of the tangent around; the one
         # eigenvalue passing zero there changes n_neg by exactly 1, which is
         # the fold itself, not a branch point

@@ -77,9 +77,11 @@ class SimplicialMesh:
     nodes: np.ndarray            # (n_nodes, dim) float
     elements: np.ndarray         # (n_elems, dim+1) int
     box: np.ndarray              # (dim, 2) low/high per axis
-    # derived on first use; `dataclasses.replace` starts them afresh
+    # derived on first use; `dataclasses.replace` starts them afresh. `_vtk`
+    # is the geometry text of `meshio.write_vtk`.
     _derived: tuple = field(default=None, init=False, repr=False, compare=False)
     _locator: object = field(default=None, init=False, repr=False, compare=False)
+    _vtk: str = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self):

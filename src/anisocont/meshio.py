@@ -10,11 +10,15 @@ _FMT = "%.17g"
 _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
 
 
-def _write_rows(f, fmt, rows):
-    """Write one line per row of `rows`, each formatted by `fmt`, with one
-    `%` operation for the whole block."""
+def _format_rows(fmt, rows):
+    """One line per row of `rows`, each formatted by `fmt`, from one `%`
+    operation for the whole block."""
     rows = np.asarray(rows)
-    f.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+    return (fmt + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
+def _write_rows(f, fmt, rows):
+    f.write(_format_rows(fmt, rows))
 
 
 def write_mesh_text(path, mesh):
@@ -92,20 +96,13 @@ def write_vtk(path, mesh, point_data=None, title="anisocont output"):
     z = 0.
     """
     point_data = point_data or {}
-    n, nv = mesh.num_nodes, mesh.dim + 1
+    n = mesh.num_nodes
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
         f.write(title + "\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        points = np.zeros((n, 3))
-        points[:, :mesh.dim] = mesh.nodes
-        _write_rows(f, f"{_FMT} {_FMT} {_FMT}", points)
-        f.write(f"CELLS {mesh.num_elements} {mesh.num_elements * (nv + 1)}\n")
-        _write_rows(f, f"{nv} " + " ".join(["%d"] * nv), mesh.elements)
-        f.write(f"CELL_TYPES {mesh.num_elements}\n")
-        f.write(f"{_VTK_CELL_TYPE[mesh.dim]}\n" * mesh.num_elements)
+        f.write(_vtk_geometry(mesh))
         if point_data:
             f.write(f"POINT_DATA {n}\n")
             for name, values in point_data.items():
@@ -115,3 +112,20 @@ def write_vtk(path, mesh, point_data=None, title="anisocont output"):
                 f.write(f"SCALARS {name} double 1\n")
                 f.write("LOOKUP_TABLE default\n")
                 _write_rows(f, _FMT, values)
+
+
+def _vtk_geometry(mesh):
+    """The POINTS, CELLS and CELL_TYPES blocks of `write_vtk`, formatted on
+    the first call and kept on the mesh, which later calls write as is."""
+    if mesh._vtk is None:
+        n, ne, nv = mesh.num_nodes, mesh.num_elements, mesh.dim + 1
+        points = np.zeros((n, 3))
+        points[:, :mesh.dim] = mesh.nodes
+        mesh._vtk = "".join([
+            f"POINTS {n} double\n",
+            _format_rows(f"{_FMT} {_FMT} {_FMT}", points),
+            f"CELLS {ne} {ne * (nv + 1)}\n",
+            _format_rows(f"{nv} " + " ".join(["%d"] * nv), mesh.elements),
+            f"CELL_TYPES {ne}\n",
+            f"{_VTK_CELL_TYPE[mesh.dim]}\n" * ne])
+    return mesh._vtk

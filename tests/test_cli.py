@@ -139,6 +139,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="ds0"):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("ds_min", "0"), ("ds_min", "-0.01"), ("newton_tol", "0"),
+        ("newton_tol", "-1"), ("newton_max_it", "-2"), ("nsteps", "-3")])
+    def test_bad_cont_value_names_section(self, tmp_path, key, value):
+        # rejected when the file loads, not by a run that cannot step
+        with pytest.raises(ConfigError, match=rf"^\[cont\]: need .*{key}"):
+            load_config(tiny_config(tmp_path, **{key: value}))
+
+    def test_zero_iterations_and_steps_load(self, tmp_path):
+        cfg = load_config(tiny_config(tmp_path, newton_max_it="0", nsteps="0"))
+        assert (cfg.cont.newton_max_it, cfg.cont.nsteps) == (0, 0)
+
     @pytest.mark.parametrize("section,line", [
         ("problem", "lamda = 0.1"), ("problem", "bc5 = neumann"),
         ("mesh", "nz = 5"), ("cont", "ds_mx = 0.1"), ("output", "snapshot_strde = 2"),
@@ -243,6 +255,14 @@ class TestRunCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[problem\nc = 1")
         assert cli.main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("ds_min", "0"), ("ds_min", "-0.01"), ("newton_tol", "-1"),
+        ("newton_max_it", "-2"), ("nsteps", "-3")])
+    def test_bad_cont_value_exits_2(self, tmp_path, capsys, key, value):
+        assert cli.main(["run", str(tiny_config(tmp_path, **{key: value}))]) == 2
+        assert "[cont]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wspot_config_short_run_emits_adapt_rows(self, tmp_path):
         # the bundled spot scenario, shortened to one adaptation trigger

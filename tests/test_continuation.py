@@ -20,6 +20,19 @@ def cos_mesh(nx=41, ny=21):
     return ac.build_rect_mesh(2 * np.pi, np.pi, nx, ny)
 
 
+def tangent_step(state, settings, work):
+    """`cont_step`, then the new state's tangent, as `run_continuation`
+    takes a step without detection; `info` counts the tangent's LUs and
+    sweeps with the corrector's."""
+    solver = work.solver
+    lus, sweeps = solver.factorizations, solver.refinements
+    new, info = ct.cont_step(state, settings, work)
+    new.tangent = ct.compute_tangent(work, new.u, new.prob, state.tangent)
+    info.update(factorizations=solver.factorizations - lus,
+                refinements=solver.refinements - sweeps)
+    return new, info
+
+
 class TestNewton:
     def test_exact_root_converges_immediately(self):
         m = cos_mesh(17, 9)
@@ -72,11 +85,25 @@ class TestTangent:
         state.tangent = ct.compute_tangent(work, state.u, prob, seed)
         prev = state.tangent
         for _ in range(4):
-            state, _ = ct.cont_step(state, settings, work)
+            state, _ = tangent_step(state, settings, work)
             inner = work.inner(prev[:-1], prev[-1],
                                state.tangent[:-1], state.tangent[-1])
             assert inner > 0
             prev = state.tangent
+
+
+class TestSettings:
+    @pytest.mark.parametrize("bad", [
+        {"ds_min": 0.0}, {"ds_min": -0.01}, {"newton_tol": 0.0},
+        {"newton_tol": -1.0}, {"newton_tol": float("nan")},
+        {"newton_max_it": -2}, {"nsteps": -3}, {"bp_param_tol": 0.0},
+        {"bp_param_tol": -1e-4}])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ct.ContinuationSettings(**bad)
+
+    def test_zero_iterations_and_steps_accepted(self):
+        ct.ContinuationSettings(newton_max_it=0, nsteps=0)
 
 
 class TestContStep:
@@ -399,7 +426,7 @@ class TestAdaptInCont:
 
         def count(mesh, u, prob, work):
             n_neg = real_count(mesh, u, prob, work)
-            counts.append((u.copy(), work.solver.lu is None))
+            counts.append((u.copy(), work.solver.counted is not None))
             return n_neg
 
         monkeypatch.setattr(ct, "FemWorkspace", workspace)
@@ -424,8 +451,9 @@ class TestAdaptInCont:
         assert len(counts) == 7
         assert len({u.tobytes() for u, _ in counts}) == 7
         assert all(r.n_neg is not None for r in result.records)
-        # a count releases the workspace's LU: one LU at a time
-        assert all(released for _, released in counts)
+        # a count releases the workspace's LU and hands the solver its
+        # own: one LU at a time
+        assert all(adopted for _, adopted in counts)
 
     def test_old_workspace_drops_its_lu_before_adapting(self, monkeypatch):
         alive = []
@@ -769,7 +797,7 @@ class TestReusedFactorization:
             return real(A, **kwargs)
 
         monkeypatch.setattr(ct, "factorize", counted)
-        new_state, info = ct.cont_step(state, settings, work)
+        new_state, info = tangent_step(state, settings, work)
         assert new_state is not None
         assert info["newton_iters"] >= 2 and info["ds_used"] == 0.05
         assert len(calls) == 1 and info["factorizations"] == 1
@@ -805,15 +833,15 @@ class TestReusedFactorization:
         state, work = self.spot_start()
         settings = ct.ContinuationSettings(ds0=0.05, ds_max=0.08,
                                            bif_detection=False)
-        first, _ = ct.cont_step(state, settings, work)
+        first, _ = tangent_step(state, settings, work)
         total = work.solver.factorizations
-        second, info = ct.cont_step(first, settings, work)
+        second, info = tangent_step(first, settings, work)
         # counts are the step's own, not the solver's running totals
         assert info["factorizations"] == 0 and total >= 1
         assert work.solver.factorizations == total
         assert info["refinements"] > 0 and info["newton_iters"] >= 2
         fresh_work = ct.FemWorkspace(state.mesh, state.prob)
-        fresh, fresh_info = ct.cont_step(first, settings, fresh_work)
+        fresh, fresh_info = tangent_step(first, settings, fresh_work)
         assert fresh_info["factorizations"] == 1
         assert fresh_info["newton_iters"] == info["newton_iters"]
         assert np.abs(second.u - fresh.u).max() <= 1e-10 * np.abs(fresh.u).max()
@@ -1252,6 +1280,191 @@ class TestFailurePaths:
         assert not any(r.flag == "ADAPT" for r in result.records)
 
 
+def symmetric_on_pattern(rng, P, dominance):
+    """Random symmetric data on the symmetric CSC pattern P, whose diagonal
+    is stored, with diagonal entries of random sign and `dominance` times
+    their row's off-diagonal sum in modulus (plus 0.1)."""
+    n = P.shape[0]
+    rows = P.indices
+    cols = np.repeat(np.arange(n), np.diff(P.indptr))
+    D = rng.standard_normal((n, n))
+    data = (D + D.T)[rows, cols]
+    diag = rows == cols
+    data[diag] = 0.0
+    rowsum = np.bincount(rows, np.abs(data), minlength=n)
+    data[diag] = (rng.choice([-1.0, 1.0], n) * (dominance * rowsum + 0.1))[rows[diag]]
+    return data
+
+
+class TestCountLU:
+    """With detection on, the stability count's LU is the workspace
+    solver's: the tangent and the next corrector refine on it, and counts
+    after the first on a workspace factor in its cached ordering."""
+
+    @staticmethod
+    def pattern(rng, n):
+        R = sp.random(n, n, density=0.1, random_state=rng)
+        P = (R + R.T + sp.eye(n)).tocsc()
+        P.sort_indices()
+        return P
+
+    def test_cached_ordering_counts_match_eigh(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            n = int(rng.integers(20, 80))
+            P = self.pattern(rng, n)
+            A0 = sp.csc_matrix((symmetric_on_pattern(rng, P, 1.0), P.indices,
+                                P.indptr), shape=P.shape)
+            count0, lu0 = ct._inertia(A0)
+            assert count0 is not None
+            ordering = ct._CountOrdering(A0, lu0.perm_c)
+            for dominance in (0.3, 0.6, 1.0, 1.5):
+                A = sp.csc_matrix((symmetric_on_pattern(rng, P, dominance),
+                                   A0.indices, A0.indptr), shape=A0.shape)
+                assert ordering.serves(A)
+                count, lu = ordering.inertia(A)
+                expected = int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0))
+                assert count == ct._inertia(A)[0] == expected
+                b = rng.standard_normal(n)
+                x = lu.solve(b)            # in A's own ordering
+                assert backward_error(A.toarray(), x, b) <= ct.BACKWARD_TOL
+                X = lu.solve(np.column_stack([b, 2 * b]))
+                assert np.array_equal(X[:, 0], x)
+
+    def test_zero_diagonal_is_rejected_in_the_cached_ordering(self):
+        rng = np.random.default_rng(12)
+        P = self.pattern(rng, 40)
+        data = symmetric_on_pattern(rng, P, 1.5)
+        A0 = sp.csc_matrix((data, P.indices, P.indptr), shape=P.shape)
+        count0, lu0 = ct._inertia(A0)
+        ordering = ct._CountOrdering(A0, lu0.perm_c)
+        # the first column the cached ordering eliminates: no update reaches
+        # its diagonal before it is the pivot
+        j = int(ordering.order[0])
+        assert np.diff(P.indptr)[j] > 1             # it has off-diagonals
+        zeroed = data.copy()
+        col = slice(P.indptr[j], P.indptr[j + 1])
+        zeroed[col][P.indices[col] == j] = 0.0    # stored, but exactly zero
+        A = sp.csc_matrix((zeroed, A0.indices, A0.indptr), shape=A0.shape)
+        assert ordering.serves(A) and A[j, j] == 0.0
+        assert ordering.inertia(A) == (None, "off-diagonal pivot")
+
+    def test_other_patterns_are_not_served(self):
+        m = cos_mesh(17, 9)
+        prob = cos_problem(d=0.0, lam=0.4)
+        work = ct.FemWorkspace(m, prob)
+        u = np.zeros(m.num_nodes)
+        assert ct.stability_index(m, u, prob, work) == 1
+        ordering = work.count_ordering
+        A = ct._reduced_symmetric(work, u, prob)
+        assert ordering.serves(A)
+        assert not ordering.serves(A.copy())
+
+    @staticmethod
+    def traced_run(monkeypatch, m, prob, settings):
+        """run_continuation with every LU logged as (phase, kind, ordering):
+        phase the traced call it happened in, kind "count" for the
+        stability count's LUs and "solver" for the others. Also returns
+        the workspaces made and whether any solver held an LU whenever
+        one was made."""
+        log, works, phases, two = [], [], [None], []
+        real_factorize, real_work = ct.factorize, ct.FemWorkspace
+
+        def factorize(A, diag_pivot_thresh=0.1, permc_spec="MMD_AT_PLUS_A"):
+            two.append(any(w.solver.lu is not None for w in works))
+            log.append((phases[-1], "count" if diag_pivot_thresh == 0.0
+                        else "solver", permc_spec))
+            return real_factorize(A, diag_pivot_thresh, permc_spec)
+
+        def workspace(*args):
+            works.append(real_work(*args))
+            return works[-1]
+
+        def traced(name):
+            real = getattr(ct, name)
+
+            def call(*args, **kwargs):
+                phases.append(name)
+                log.append((name, "start", None))
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    phases.pop()
+            monkeypatch.setattr(ct, name, call)
+
+        for name in ("cont_step", "stability_index", "compute_tangent",
+                     "detect_bifurcation"):
+            traced(name)
+        monkeypatch.setattr(ct, "factorize", factorize)
+        monkeypatch.setattr(ct, "FemWorkspace", workspace)
+        state = ct.ContinuationState(m, np.zeros(m.num_nodes), prob,
+                                     ds=settings.ds0)
+        result = ct.run_continuation(state, settings)
+        return result, log, works, two
+
+    def test_plain_trivial_step_makes_one_lu(self, monkeypatch):
+        m = cos_mesh(25, 13)
+        settings = ct.ContinuationSettings(ds0=0.03, ds_max=0.03, nsteps=8,
+                                           bif_detection=True)
+        result, log, works, two = self.traced_run(
+            monkeypatch, m, cos_problem(d=0.0, lam=-0.2), settings)
+        assert not result.events and len(works) == 1
+        steps = []
+        for entry in log:
+            if entry == ("cont_step", "start", None):
+                steps.append([])
+            elif steps and entry[1] != "start":
+                steps[-1].append(entry)
+        assert len(steps) == 8
+        # corrector, count, tangent: the count's LU only, in the ordering
+        # of the run's first count; the corrector after it makes none
+        for lus in steps:
+            assert lus == [("stability_index", "count", "NATURAL")]
+        first = [e for e in log if e[1] != "start"][0]
+        assert first == ("stability_index", "count", "MMD_AT_PLUS_A")
+        assert works[0].solver.factorizations == 0
+        assert not any(two)
+
+    def test_never_two_lus_across_a_branch_point(self, monkeypatch):
+        m = cos_mesh(25, 13)
+        settings = ct.ContinuationSettings(ds0=0.03, ds_max=0.05, nsteps=4,
+                                           bif_detection=True)
+        result, log, works, two = self.traced_run(
+            monkeypatch, m, cos_problem(d=0.0, lam=0.2), settings)
+        bps = [e for e in result.events if isinstance(e, ct.BPEvent)]
+        assert len(bps) == 1 and not bps[0].approximate
+        assert ("detect_bifurcation", "start", None) in log
+        assert two and not any(two)
+        assert all(w.solver.fallbacks == 0 for w in works)
+
+    @pytest.mark.parametrize("state", ["cos_state", "switched_state",
+                                       "spot3d_state"])
+    def test_solves_on_the_adopted_count_lu(self, state, request):
+        m, u, prob = request.getfixturevalue(state)
+        work = ct.FemWorkspace(m, prob)
+        ct.stability_index(m, u, prob, work)
+        solver = work.solver
+        J = work.jacobian(u, prob)
+        assert solver.counted is J and not solver.fresh
+        assert not work.free.all()               # Dirichlet rows couple in
+        n = m.num_nodes
+        rng = np.random.default_rng(13)
+        g = work.dresidual_dparam(u, prob)
+        r, c = work.border(rng.standard_normal(n), 0.3)
+        f, h = rng.standard_normal(n), 0.7
+        x = solver.solve(f)
+        z = np.append(*solver.solve_bordered(g, r, c, f, h))
+        # each solve meets the bound against the true J, on the count's LU
+        # or, when refinement on it falls short, on a refactored one
+        assert backward_error(J, x, f) <= ct.BACKWARD_TOL
+        assert backward_error(sp.csc_matrix(bordered_dense(J, g, r, c)), z,
+                              np.append(f, h)) <= ct.BACKWARD_TOL
+        assert solver.refactors == 0 or solver.fresh
+        assert solver.refinements > 0 and solver.fallbacks == 0
+        if solver.refactors == 0:
+            assert solver.counted is J and solver.factorizations == 0
+
+
 class TestShiftInvert:
     def test_sparse_path_counts_match_dense(self, monkeypatch):
         m = cos_mesh(21, 11)
@@ -1302,6 +1515,7 @@ def crossing_step(mesh, lam0, ds=0.05):
     n_lo = ct.stability_index(mesh, state.u, prob, work)
     new, info = ct.cont_step(state, settings, work)
     n_hi = ct.stability_index(mesh, new.u, new.prob, work)
+    new.tangent = ct.compute_tangent(work, new.u, new.prob, state.tangent)
     assert n_hi == n_lo + 1
     return state, n_lo, new, n_hi, info["ds_used"], settings, work
 
@@ -1384,7 +1598,7 @@ class TestBranchPointLocalization:
         assert len(lus) == 1              # a fresh workspace factors once
         # the solver drops the count's LU before it factors its own
         work.solver.factor(work.jacobian(u, prob))
-        assert work.solver.count_lu is None
+        assert work.solver.counted is None
 
     def test_corrector_failure_is_approximate(self, monkeypatch, caplog):
         args = crossing_step(cos_mesh(17, 9), 0.29)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,27 @@ def test_block_writers_match_row_oracle(tmp_path, refined):
         new(p_new, *args)
         old(p_old, *args)
         assert p_new.read_bytes() == p_old.read_bytes(), new.__name__
+
+
+def test_vtk_geometry_formatted_once_per_mesh(tmp_path, refined, monkeypatch):
+    mesh, u = refined
+    formats = []
+    real = meshio._format_rows
+    monkeypatch.setattr(meshio, "_format_rows",
+                        lambda fmt, rows: formats.append(fmt) or real(fmt, rows))
+    moved = replace(mesh, nodes=mesh.nodes * 1.5)
+    cases = [(mesh, {"u": u}, "a"), (mesh, {"u": -u, "v": u}, "b"),
+             (mesh, None, "c"), (moved, {"u": u}, "d"), (moved, None, "e")]
+    for k, (m, data, title) in enumerate(cases):
+        meshio.write_vtk(tmp_path / f"new{k}", m, data, title)
+        write_vtk_oracle(tmp_path / f"old{k}", m, data, title)
+        assert (tmp_path / f"new{k}").read_bytes() == \
+            (tmp_path / f"old{k}").read_bytes()
+    # the points and cells once per mesh (`replace` starts afresh), the
+    # fields on every call
+    points = f"{_FMT} {_FMT} {_FMT}"
+    assert formats.count(points) == 2
+    assert len(formats) == 2 * 2 + 4
 
 
 def test_block_writers_on_empty_blocks(tmp_path):
